@@ -18,7 +18,7 @@ from .engine import (
 )
 from .errors import GraphAlgError
 from .graph_io import GraphInput, load_graph, write_result
-from .semiring import ScalarValue, SemiringTag, cast_scalar, sr_add, sr_mul
+from .semiring import SemiringTag
 
 __all__ = [
     "CallBinding",
@@ -28,9 +28,7 @@ __all__ = [
     "GraphAlgError",
     "GraphInput",
     "MatrixRelation",
-    "ScalarValue",
     "SemiringTag",
-    "cast_scalar",
     "compile_source",
     "dump_core_text",
     "execute",
@@ -38,8 +36,6 @@ __all__ = [
     "merge_in_place",
     "pick_any_aggregate",
     "run_source",
-    "sr_add",
-    "sr_mul",
     "write_result",
 ]
 

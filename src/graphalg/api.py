@@ -8,7 +8,7 @@ from typing import Callable, Optional
 from .core import CoreProgram, dump_core, lower, validate_core
 from .engine import CallBinding, ExecOptions, ExecStats, MatrixRelation, execute
 from .errors import CoreValidationError
-from .optimizer import DEFAULT_DENSE_LIMIT, optimize_plan, pipeline, sparsity_pass
+from .optimizer import DEFAULT_DENSE_LIMIT, optimize_plan, sparsity_pass
 from .parser import parse
 from .plan import PlanFunction, compile_program
 from .typecheck import TypedProgram, check_program
@@ -55,6 +55,8 @@ def compile_source(
     densify_all: bool = False,
 ) -> Compiled:
     """Parse, type check, lower, analyze sparsity and compile to plans."""
+    if opt_level not in (0, 1, 2):
+        raise ValueError(f"optimization level must be 0, 1 or 2, got {opt_level}")
     typed = check_program(parse(text, origin))
     core = lower(typed)
     violations = validate_core(core)

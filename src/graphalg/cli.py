@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage, 2 compile error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .api import Compiled, compile_source
@@ -223,8 +224,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         print(dump_core(compiled.core), end="")
     if ns.dump_plan:
         print(pretty_plan(pf), end="")
-    execute_needed = ns.output is not None or ns.stats or not (ns.dump_core or ns.dump_plan)
-    if not execute_needed:
+    if not _executes(ns):
         return EXIT_OK
 
     try:
@@ -270,6 +270,11 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         if ns.stats:
             print(stats.to_text(), end="", file=sys.stderr)
     return EXIT_OK
+
+
+def _executes(ns: argparse.Namespace) -> bool:
+    """Whether ``run`` executes the program, which needs the graph files."""
+    return ns.output is not None or ns.stats or not (ns.dump_core or ns.dump_plan)
 
 
 def _only_function(compiled: Compiled) -> str:
@@ -375,13 +380,16 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if ns.command == "run" and not (ns.dump_core or ns.dump_plan):
-        if not ns.vertices or not ns.edges:
-            print("run needs --vertices and --edges", file=sys.stderr)
-            return EXIT_USAGE
-    if ns.command == "run" and (ns.output or ns.stats):
-        if not ns.vertices or not ns.edges:
-            print("run needs --vertices and --edges", file=sys.stderr)
+    if ns.command == "run":
+        problem = None
+        if _executes(ns) and not (ns.vertices and ns.edges):
+            problem = "run needs --vertices and --edges"
+        elif ns.iters < 0:
+            problem = f"--iters must be non-negative, got {ns.iters}"
+        elif not math.isfinite(ns.damping):
+            problem = f"--damping must be a finite number, got {ns.damping}"
+        if problem:
+            print(problem, file=sys.stderr)
             return EXIT_USAGE
     return ns.fn(ns)
 

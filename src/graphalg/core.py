@@ -39,7 +39,6 @@ from .semiring import (
     binop_fn,
     cast_fn,
     expr_tag,
-    fn_is_sparse_safe,
     select_fn,
     semiring_add_fn,
 )
@@ -163,7 +162,7 @@ def dim_size_expr(dim: Dim) -> CoreExpr:
     return CMatMul(ty=MatrixType(A.DimLit(1), A.DimLit(1), sr), lhs=onesT, rhs=ones)
 
 
-def broadcast_scalar(scalar: CoreExpr, to: MatrixType) -> CoreExpr:
+def spread_scalar(scalar: CoreExpr, to: MatrixType) -> CoreExpr:
     """Spread a 1x1 value over a full shape via one-vector products."""
     if to.rows == A.DimLit(1) and to.cols == A.DimLit(1):
         return scalar
@@ -230,7 +229,7 @@ class _Lowerer:
                 )
             elif isinstance(st, A.FillAssign):
                 old = self.env[st.target]
-                self.env[st.target] = broadcast_scalar(self.expr(st.value), old.ty)
+                self.env[st.target] = spread_scalar(self.expr(st.value), old.ty)
             elif isinstance(st, A.ForLoop):
                 self.for_loop(st)
             else:
@@ -330,7 +329,7 @@ class _Lowerer:
         if e.name == "apply":
             m = self.expr(e.args[0])
             c = self.expr(e.args[1])
-            spread = broadcast_scalar(c, m.ty)
+            spread = spread_scalar(c, m.ty)
             return CApply(
                 ty=ty, fn=binop_fn(_APPLY_OPS[e.fn_name], m.ty.sr), args=(m, spread)
             )
@@ -544,12 +543,3 @@ def dump_core(cp: CoreProgram) -> str:
         chunks.append(f"(func {name} ({params})\n  {_fmt(fn.expr)})")
     return "\n".join(chunks) + "\n"
 
-
-# keyed by the frozen function value itself; id() would alias after GC
-SPARSE_SAFE_CACHE: dict[PointwiseFn, bool] = {}
-
-
-def apply_is_sparse_safe(e: CApply) -> bool:
-    if e.fn not in SPARSE_SAFE_CACHE:
-        SPARSE_SAFE_CACHE[e.fn] = fn_is_sparse_safe(e.fn)
-    return SPARSE_SAFE_CACHE[e.fn]

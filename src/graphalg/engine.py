@@ -42,6 +42,7 @@ from .semiring import (
     ZERO_PAYLOAD,
     DivisionFlags,
     SemiringTag,
+    is_zero,
     vadd,
     vadd_reduceat,
     veval_expr,
@@ -114,17 +115,6 @@ class MatrixRelation:
         return canonicalize(sr, nrows, ncols, rows, cols, vals, dense=dense)
 
 
-def _identity_mask(sr: SemiringTag, vals: np.ndarray) -> np.ndarray:
-    """True where a value is the additive identity (NaN never is)."""
-    if sr is SemiringTag.BOOL:
-        return ~vals
-    if sr is SemiringTag.INT:
-        return vals == 0
-    if sr is SemiringTag.REAL:
-        return vals == 0.0
-    return vals == np.inf
-
-
 def canonicalize(
     sr: SemiringTag,
     nrows: int,
@@ -144,7 +134,7 @@ def canonicalize(
         order = np.argsort(key, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
     if not dense and len(vals):
-        keep = ~_identity_mask(sr, vals)
+        keep = ~is_zero(sr, vals)
         if not keep.all():
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
     return MatrixRelation(sr, nrows, ncols, rows, cols, vals, dense=dense)
@@ -161,7 +151,7 @@ def assert_canonical(rel: MatrixRelation):
     key = rel.keys()
     if len(key) > 1 and not (np.diff(key) > 0).all():
         raise EngineError("relation is not sorted with unique keys")
-    if not rel.dense and _identity_mask(rel.sr, rel.vals).any():
+    if not rel.dense and is_zero(rel.sr, rel.vals).any():
         raise EngineError("sparse relation stores an additive identity")
     if rel.dense and len(rel) != rel.nrows * rel.ncols:
         raise EngineError("dense relation does not cover every position")
@@ -265,6 +255,67 @@ class ExecOptions:
 
 
 # ---------------------------------------------------------------------------
+# Relational folds
+# ---------------------------------------------------------------------------
+
+
+def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal keys."""
+    return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+
+
+def fold_rowcol(
+    sr: SemiringTag,
+    nrows: int,
+    ncols: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+) -> MatrixRelation:
+    """Combine tuples that share a (row, col) key with semiring addition.
+
+    The sort is stable, so each group keeps its members in input order;
+    that keeps REAL sums bitwise reproducible.
+    """
+    if len(rows) == 0:
+        return MatrixRelation.empty(sr, nrows, ncols)
+    stride = np.int64(max(ncols, 1))
+    key = rows * stride + cols
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    starts = _group_starts(skey)
+    folded = vadd_reduceat(sr, vals[order], starts)
+    ukey = skey[starts]
+    out_rows = ukey // stride
+    return canonicalize(
+        sr, nrows, ncols, out_rows, ukey - out_rows * stride, folded, assume_sorted=True
+    )
+
+
+def first_per_row(
+    sr: SemiringTag,
+    nrows: int,
+    ncols: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+) -> MatrixRelation:
+    """Keep, per row, the nonzero tuple with the smallest column index.
+
+    Identities never compete. The sort is stable, so of two tuples with the
+    same key the earlier one in the input wins.
+    """
+    keep = ~is_zero(sr, vals)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if len(rows) == 0:
+        return MatrixRelation.empty(sr, nrows, ncols)
+    order = np.argsort(rows * np.int64(max(ncols, 1)) + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = _group_starts(rows)
+    return MatrixRelation(sr, nrows, ncols, rows[first], cols[first], vals[first])
+
+
+# ---------------------------------------------------------------------------
 # Merging (in-place aggregation support)
 # ---------------------------------------------------------------------------
 
@@ -304,14 +355,14 @@ def merge_in_place(
         vals = np.concatenate([new_vals, delta.vals[fresh]])
         out = canonicalize(sr, state.nrows, state.ncols, rows, cols, vals, dense=state.dense)
     elif combine == "argmin_col":
-        rows = np.concatenate([state.rows, delta.rows])
-        cols = np.concatenate([state.cols, delta.cols])
-        vals = np.concatenate([state.vals, delta.vals])
-        order = np.lexsort((np.arange(len(rows)), cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        _, first = np.unique(rows, return_index=True)
-        out = canonicalize(
-            sr, state.nrows, state.ncols, rows[first], cols[first], vals[first]
+        # state before delta, so an existing tuple wins a tie on its key
+        out = first_per_row(
+            sr,
+            state.nrows,
+            state.ncols,
+            np.concatenate([state.rows, delta.rows]),
+            np.concatenate([state.cols, delta.cols]),
+            np.concatenate([state.vals, delta.vals]),
         )
     else:
         raise EngineError(f"unknown combine kind {combine!r}")
@@ -320,17 +371,7 @@ def merge_in_place(
 
 def pick_any_aggregate(rel: MatrixRelation) -> MatrixRelation:
     """Keep, per row, the nonzero tuple with the smallest column index."""
-    rows, cols, vals = rel.rows, rel.cols, rel.vals
-    if rel.dense and len(vals):
-        keep = ~_identity_mask(rel.sr, vals)
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if len(rows) == 0:
-        return MatrixRelation.empty(rel.sr, rel.nrows, rel.ncols)
-    # canonical order is already (row, col), so the first tuple per row wins
-    _, first = np.unique(rows, return_index=True)
-    return MatrixRelation(
-        rel.sr, rel.nrows, rel.ncols, rows[first], cols[first], vals[first]
-    )
+    return first_per_row(rel.sr, rel.nrows, rel.ncols, rel.rows, rel.cols, rel.vals)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +404,8 @@ class Executor:
             self._unify(env, ty.rows, rel.nrows, name)
             self._unify(env, ty.cols, rel.ncols, name)
         for sym, size in self.binding.dims.items():
+            if int(size) < 0:
+                raise BindingError(f"dimension {sym!r} must be non-negative, got {size}")
             env.unify(sym, A.DimLit(int(size)))
         self._dim_env = env
 
@@ -614,16 +657,7 @@ class Executor:
         rows, cols, vals = src.rows, src.cols, src.vals[0] if src.vals else None
 
         if node.combine == "argmin_col":
-            # only nonzero entries compete; dense inputs store identities
-            keep = ~_identity_mask(sr, vals) if len(rows) else None
-            if keep is not None and not keep.all():
-                rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            if len(rows) == 0:
-                return MatrixRelation.empty(sr, nr, nc)
-            order = np.lexsort((np.arange(len(rows)), cols, rows))
-            r, c, v = rows[order], cols[order], vals[order]
-            _, first = np.unique(r, return_index=True)
-            return canonicalize(sr, nr, nc, r[first], c[first], v[first], assume_sorted=True)
+            return first_per_row(sr, nr, nc, rows, cols, vals)
 
         if node.group_by == "none":
             if len(rows) == 0:
@@ -640,16 +674,7 @@ class Executor:
             return MatrixRelation.empty(sr, nr, nc)
         if src.unique:
             return canonicalize(sr, nr, nc, rows, cols, vals)
-        stride = np.int64(max(nc, 1))
-        key = rows * stride + cols
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        svals = vals[order]
-        uniq, starts = np.unique(skey, return_index=True)
-        folded = vadd_reduceat(sr, svals, starts)
-        out_rows = uniq // stride
-        out_cols = uniq - out_rows * stride
-        return canonicalize(sr, nr, nc, out_rows, out_cols, folded, assume_sorted=True)
+        return fold_rowcol(sr, nr, nc, rows, cols, vals)
 
     def _eval_loop(self, node: PLoop, env: dict, memo: dict):
         nid = self.pf.node_id(node)

@@ -16,9 +16,9 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .engine import MatrixRelation
+from .engine import MatrixRelation, fold_rowcol
 from .errors import GraphLoadError
-from .semiring import SemiringTag, add_payload
+from .semiring import NUMPY_DTYPE, SemiringTag
 
 MODES = {
     "bool": SemiringTag.BOOL,
@@ -54,7 +54,10 @@ class GraphInput:
 
 
 def _lines(path) -> list[tuple[int, str]]:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise GraphLoadError(f"cannot read {path}: {exc.strerror or exc}") from exc
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -92,8 +95,9 @@ def load_graph(vertex_file, edge_file, mode: str = "bool") -> GraphInput:
     index = {int(e): i for i, e in enumerate(ext_ids)}
     n = len(ext_ids)
 
-    entries: dict[tuple[int, int], object] = {}
-    duplicate_edges = 0
+    src: list[int] = []
+    dst: list[int] = []
+    values: list = []
     ignored_weights = 0
     for no, line in _lines(edge_file):
         parts = line.split()
@@ -120,21 +124,18 @@ def load_graph(vertex_file, edge_file, mode: str = "bool") -> GraphInput:
             if len(parts) > 2:
                 ignored_weights += 1
             value = True
-        key = (index[src_ext], index[dst_ext])
-        if key in entries:
-            duplicate_edges += 1
-            entries[key] = add_payload(sr, entries[key], value)
-        else:
-            entries[key] = value
+        src.append(index[src_ext])
+        dst.append(index[dst_ext])
+        values.append(value)
 
-    adjacency = MatrixRelation.from_tuples(
-        sr, n, n, [(r, c, v) for (r, c), v in entries.items()]
-    )
+    rows = np.array(src, np.int64)
+    cols = np.array(dst, np.int64)
+    keys = rows * np.int64(max(n, 1)) + cols
     return GraphInput(
         ext_ids=ext_ids,
-        adjacency=adjacency,
+        adjacency=fold_rowcol(sr, n, n, rows, cols, np.array(values, NUMPY_DTYPE[sr])),
         weighted=weighted,
-        duplicate_edges=duplicate_edges,
+        duplicate_edges=len(keys) - len(np.unique(keys)),
         ignored_weights=ignored_weights,
     )
 

@@ -29,7 +29,6 @@ from .core import (
     CoreExpr,
     CoreFunction,
     CoreProgram,
-    apply_is_sparse_safe,
 )
 from .errors import DenseLimitError
 from .plan import (
@@ -43,11 +42,10 @@ from .plan import (
     PlanNode,
     _with_children,
     children,
-    compile_program,
     finalize,
     rewrite,
 )
-from .semiring import SBin, SVar
+from .semiring import SBin, SVar, fn_is_sparse_safe
 
 DEFAULT_DENSE_LIMIT = 50_000_000
 
@@ -63,7 +61,7 @@ MUST_BE_DENSE = "MUST_BE_DENSE"
 def sparsity_annotation(e: CoreExpr) -> str:
     """Whether a node's result may omit zero-valued tuples."""
     if isinstance(e, CApply):
-        return MAY_OMIT_ZEROS if apply_is_sparse_safe(e) else MUST_BE_DENSE
+        return MAY_OMIT_ZEROS if fn_is_sparse_safe(e.fn) else MUST_BE_DENSE
     if isinstance(e, CDensify):
         return MUST_BE_DENSE
     return MAY_OMIT_ZEROS
@@ -134,7 +132,7 @@ def sparsity_pass(
             return replace(e, lhs=go(e.lhs), rhs=go(e.rhs))
         if isinstance(e, CApply):
             args = tuple(go(a) for a in e.args)
-            if not apply_is_sparse_safe(e):
+            if not fn_is_sparse_safe(e.fn):
                 args = tuple(densify(a, "a pointwise operand") for a in args)
             return replace(e, args=args)
         if isinstance(e, CForLoop):
@@ -360,17 +358,3 @@ def optimize_plan(pf: PlanFunction, level: int) -> PlanFunction:
         pf = inplace_agg_pass(pf)
     finalize(pf)
     return pf
-
-
-def pipeline(
-    cp: CoreProgram,
-    level: int = 2,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-    densify_all: bool = False,
-) -> dict[str, PlanFunction]:
-    """sparsity (always) -> compile -> licm (O1+) -> in-place + fixpoint (O2)."""
-    if level not in (0, 1, 2):
-        raise ValueError(f"optimization level must be 0, 1 or 2, got {level}")
-    cp = sparsity_pass(cp, dense_limit=dense_limit, densify_all=densify_all)
-    plans = compile_program(cp)
-    return {name: optimize_plan(pf, level) for name, pf in plans.items()}

@@ -1,4 +1,4 @@
-"""Semirings, scalar values, scalar arithmetic and casts.
+"""Semirings, casts, pointwise expressions and the numpy kernels.
 
 Four semirings are supported:
 
@@ -7,10 +7,10 @@ Four semirings are supported:
 * REAL: (+, *) over 64-bit floats
 * TROP: (min, +) over 64-bit floats with +inf as the additive identity
 
-All arithmetic in the rest of the system bottoms out here, either through
-the scalar entry points (`sr_add`, `sr_mul`, `cast_scalar`,
-`eval_pointwise_fn`) or through the vectorized numpy kernels used by the
-execution engine. Both paths share the same value conventions.
+All arithmetic in the rest of the system bottoms out in the vectorized
+numpy kernels here (`vadd`, `vmul`, `vadd_reduceat`, `vcast`,
+`veval_expr`). There is no scalar evaluator: compile-time questions such
+as sparse safety run the same kernels on one-element arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -38,32 +38,6 @@ class SemiringTag(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class ScalarValue:
-    """A scalar tagged with the semiring it lives in."""
-
-    tag: SemiringTag
-    payload: Payload
-
-    def __post_init__(self):
-        if self.tag is SemiringTag.BOOL:
-            if not isinstance(self.payload, (bool, np.bool_)):
-                raise TypeError(f"BOOL payload must be bool, got {self.payload!r}")
-        elif self.tag is SemiringTag.INT:
-            if isinstance(self.payload, (bool, np.bool_)) or not isinstance(
-                self.payload, (int, np.integer)
-            ):
-                raise TypeError(f"INT payload must be int, got {self.payload!r}")
-            if not (INT64_MIN <= int(self.payload) <= INT64_MAX):
-                raise TypeError(f"INT payload out of 64-bit range: {self.payload!r}")
-        else:
-            if not isinstance(self.payload, (int, float, np.floating)):
-                raise TypeError(
-                    f"{self.tag} payload must be float, got {self.payload!r}"
-                )
-            object.__setattr__(self, "payload", float(self.payload))
 
 
 ZERO_PAYLOAD: dict[SemiringTag, Payload] = {
@@ -88,94 +62,15 @@ NUMPY_DTYPE: dict[SemiringTag, np.dtype] = {
 }
 
 
-def zero_of(sr: SemiringTag) -> ScalarValue:
-    return ScalarValue(sr, ZERO_PAYLOAD[sr])
-
-
-def one_of(sr: SemiringTag) -> ScalarValue:
-    return ScalarValue(sr, ONE_PAYLOAD[sr])
-
-
-def _checked_int(op: str, a: int, b: int, value: int) -> int:
-    if not (INT64_MIN <= value <= INT64_MAX):
-        raise ArithmeticOverflowError(op, a, b)
-    return value
-
-
-def _trop_min(a: float, b: float) -> float:
-    # NaN ranks above everything: min ignores it unless both operands are NaN.
-    if math.isnan(a):
-        return b
-    if math.isnan(b):
-        return a
-    return a if a <= b else b
-
-
-def add_payload(sr: SemiringTag, a: Payload, b: Payload) -> Payload:
+def is_zero(sr: SemiringTag, vals: np.ndarray) -> np.ndarray:
+    """True where a value is the additive identity (NaN never is)."""
     if sr is SemiringTag.BOOL:
-        return bool(a or b)
+        return ~vals
     if sr is SemiringTag.INT:
-        return _checked_int("add", a, b, int(a) + int(b))
+        return vals == 0
     if sr is SemiringTag.REAL:
-        return float(a) + float(b)
-    return _trop_min(float(a), float(b))
-
-
-def mul_payload(sr: SemiringTag, a: Payload, b: Payload) -> Payload:
-    # The additive identity is absorbing even where IEEE arithmetic would
-    # produce NaN (0 * inf, inf + -inf): sparse execution never multiplies
-    # an implicit zero, so explicit zeros must behave the same way.
-    if sr is SemiringTag.BOOL:
-        return bool(a and b)
-    if sr is SemiringTag.INT:
-        return _checked_int("mul", a, b, int(a) * int(b))
-    if sr is SemiringTag.REAL:
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        return float(a) * float(b)
-    if a == math.inf or b == math.inf:
-        return math.inf
-    return float(a) + float(b)  # tropical multiplication
-
-
-def _require_tag(sr: SemiringTag, v: ScalarValue, what: str) -> None:
-    if v.tag is not sr:
-        raise EngineError(f"{what}: expected a {sr} value, got {v.tag}")
-
-
-def sr_add(sr: SemiringTag, a: ScalarValue, b: ScalarValue) -> ScalarValue:
-    """Semiring addition: or / + / + / min depending on `sr`."""
-    _require_tag(sr, a, "sr_add")
-    _require_tag(sr, b, "sr_add")
-    return ScalarValue(sr, add_payload(sr, a.payload, b.payload))
-
-
-def sr_mul(sr: SemiringTag, a: ScalarValue, b: ScalarValue) -> ScalarValue:
-    """Semiring multiplication: and / * / * / + depending on `sr`."""
-    _require_tag(sr, a, "sr_mul")
-    _require_tag(sr, b, "sr_mul")
-    return ScalarValue(sr, mul_payload(sr, a.payload, b.payload))
-
-
-@dataclass(frozen=True)
-class SemiringDef:
-    """A semiring bundled with its identities and operators."""
-
-    tag: SemiringTag
-    zero: ScalarValue
-    one: ScalarValue
-    add: Callable[[ScalarValue, ScalarValue], ScalarValue]
-    mul: Callable[[ScalarValue, ScalarValue], ScalarValue]
-
-
-def semiring_def(sr: SemiringTag) -> SemiringDef:
-    return SemiringDef(
-        tag=sr,
-        zero=zero_of(sr),
-        one=one_of(sr),
-        add=lambda a, b, _sr=sr: sr_add(_sr, a, b),
-        mul=lambda a, b, _sr=sr: sr_mul(_sr, a, b),
-    )
+        return vals == 0.0
+    return vals == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -207,31 +102,6 @@ CAST_PAIRS: frozenset[tuple[SemiringTag, SemiringTag]] = frozenset(
 
 def cast_supported(source: SemiringTag, target: SemiringTag) -> bool:
     return (source, target) in CAST_PAIRS
-
-
-def cast_payload(target: SemiringTag, source: SemiringTag, v: Payload) -> Payload:
-    if source is target:
-        return v
-    if source is _B:
-        return ONE_PAYLOAD[target] if v else ZERO_PAYLOAD[target]
-    if (source, target) == (_I, _R):
-        return float(v)  # exact below 2**53, nearest float beyond
-    if (source, target) == (_R, _T):
-        return math.inf if v == 0.0 else float(v)
-    if (source, target) == (_T, _R):
-        return 0.0 if v == math.inf else float(v)
-    if (source, target) == (_I, _B):
-        return v != 0
-    if (source, target) == (_R, _B):
-        return v != 0.0
-    raise EngineError(f"unsupported cast {source} -> {target}")
-
-
-def cast_scalar(target: SemiringTag, v: ScalarValue) -> ScalarValue:
-    """Convert `v` into `target`, mapping identities to identities."""
-    if not cast_supported(v.tag, target):
-        raise EngineError(f"unsupported cast {v.tag} -> {target}")
-    return ScalarValue(target, cast_payload(target, v.tag, v.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -320,116 +190,11 @@ def expr_tag(expr: ScalarExpr, env: dict[str, SemiringTag]) -> SemiringTag:
     return lt
 
 
-def fn_result_tag(fn: PointwiseFn) -> SemiringTag:
-    return expr_tag(fn.body, dict(fn.params))
-
-
-def _eval_bin(op: str, sr: SemiringTag, a: Payload, b: Payload) -> Payload:
-    if op == "+":
-        return add_payload(sr, a, b)
-    if op == "*":
-        return mul_payload(sr, a, b)
-    if op == "-":
-        if sr is SemiringTag.INT:
-            return _checked_int("sub", a, b, int(a) - int(b))
-        if sr is SemiringTag.REAL:
-            return float(a) - float(b)
-        raise EngineError(f"subtraction is not defined on {sr}")
-    if op == "/":
-        if sr is SemiringTag.REAL:
-            if b == 0.0:
-                # standard float semantics (inf/nan); callers track this in stats
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return float(np.float64(a) / np.float64(b))
-            return float(a) / float(b)
-        if sr is SemiringTag.INT:
-            if b == 0:
-                raise EngineError("integer division by zero")
-            return _checked_int("div", a, b, int(a) // int(b))
-        raise EngineError(f"division is not defined on {sr}")
-    if op == "=":
-        if sr is SemiringTag.BOOL:
-            eq = bool(a) == bool(b)
-        else:
-            eq = float(a) == float(b) if sr is not SemiringTag.INT else int(a) == int(b)
-        return ONE_PAYLOAD[sr] if eq else ZERO_PAYLOAD[sr]
-    raise EngineError(f"unknown scalar operator {op!r}")
-
-
-def _eval_expr(expr: ScalarExpr, env: dict[str, ScalarValue]) -> ScalarValue:
-    if isinstance(expr, SVar):
-        return env[expr.name]
-    if isinstance(expr, SLit):
-        return ScalarValue(expr.tag, expr.value)
-    if isinstance(expr, SCast):
-        return cast_scalar(expr.target, _eval_expr(expr.arg, env))
-    if isinstance(expr, SSelect):
-        cond = _eval_expr(expr.cond, env)
-        taken = expr.then if cond.payload != ZERO_PAYLOAD[cond.tag] else expr.other
-        return _eval_expr(taken, env)
-    lhs = _eval_expr(expr.lhs, env)
-    rhs = _eval_expr(expr.rhs, env)
-    if lhs.tag is not rhs.tag:
-        raise EngineError(f"operands of {expr.op!r} disagree: {lhs.tag} vs {rhs.tag}")
-    return ScalarValue(lhs.tag, _eval_bin(expr.op, lhs.tag, lhs.payload, rhs.payload))
-
-
-def eval_pointwise_fn(fn: PointwiseFn, args: list[ScalarValue]) -> ScalarValue:
-    """Evaluate a pointwise function on scalar arguments.
-
-    Pure: the result depends only on the inputs.
-    """
-    if len(args) != fn.arity:
-        raise EngineError(f"pointwise arity mismatch: want {fn.arity}, got {len(args)}")
-    env = {}
-    for (name, tag), value in zip(fn.params, args):
-        if value.tag is not tag:
-            raise EngineError(f"argument {name!r}: expected {tag}, got {value.tag}")
-        env[name] = value
-    return _eval_expr(fn.body, env)
-
-
-def fn_is_sparse_safe(fn: PointwiseFn) -> bool:
-    """True when feeding every parameter its additive identity yields zero.
-
-    Operations with this property may run over sparse inputs unchanged.
-    """
-    args = [zero_of(tag) for _, tag in fn.params]
-    try:
-        result = eval_pointwise_fn(fn, args)
-    except EngineError:
-        return False
-    zero = ZERO_PAYLOAD[result.tag]
-    if result.tag in (SemiringTag.REAL, SemiringTag.TROP):
-        if isinstance(result.payload, float) and math.isnan(result.payload):
-            return False
-        return float(result.payload) == float(zero)
-    return result.payload == zero
-
-
 # Convenient canned function bodies.
 
 
 def semiring_add_fn(sr: SemiringTag) -> PointwiseFn:
     return PointwiseFn(params=(("a", sr), ("b", sr)), body=SBin("+", SVar("a"), SVar("b")))
-
-
-def is_semiring_add_fn(fn: PointwiseFn) -> bool:
-    """Recognize add(a, b) structurally; used by plan rewrites."""
-    if fn.arity != 2:
-        return False
-    (n0, t0), (n1, t1) = fn.params
-    if t0 is not t1:
-        return False
-    body = fn.body
-    return (
-        isinstance(body, SBin)
-        and body.op == "+"
-        and isinstance(body.lhs, SVar)
-        and isinstance(body.rhs, SVar)
-        and body.lhs.name == n0
-        and body.rhs.name == n1
-    )
 
 
 def select_fn(mask_sr: SemiringTag, value_sr: SemiringTag) -> PointwiseFn:
@@ -491,7 +256,9 @@ def vmul(sr: SemiringTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 if not (INT64_MIN <= exact <= INT64_MAX):
                     raise ArithmeticOverflowError("mul", int(a[i]), int(b[i]))
         return r
-    # the additive identity absorbs, even against inf/NaN (see mul_payload)
+    # The additive identity absorbs even where IEEE arithmetic would give
+    # NaN (0 * inf, inf + -inf): sparse execution never multiplies an
+    # implicit zero, so explicit zeros must behave the same way.
     if sr is SemiringTag.REAL:
         with np.errstate(invalid="ignore"):
             return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
@@ -502,8 +269,10 @@ def vmul(sr: SemiringTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def vadd_reduceat(sr: SemiringTag, vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Fold semiring addition over contiguous segments of `vals`.
 
-    Segments are folded left to right in array order, which callers fix by
-    sorting; that keeps REAL sums bitwise reproducible.
+    Each segment folds in array order, which callers fix by sorting. numpy
+    may group the additions of a long REAL segment pairwise rather than
+    strictly left to right, but equal inputs always fold the same way, so
+    sums stay bitwise reproducible.
     """
     if len(vals) == 0:
         return vals[:0]
@@ -579,10 +348,6 @@ def _veval_bin(op, sr, a, b, flags: DivisionFlags | None):
                 flags.division_by_zero += zeros
             with np.errstate(divide="ignore", invalid="ignore"):
                 return a / b
-        if sr is SemiringTag.INT:
-            if np.any(b == 0):
-                raise EngineError("integer division by zero")
-            return a // b
         raise EngineError(f"division is not defined on {sr}")
     if op == "=":
         eq = a == b
@@ -598,7 +363,11 @@ def veval_expr(
     tags: dict[str, SemiringTag],
     flags: DivisionFlags | None = None,
 ) -> tuple[np.ndarray, SemiringTag]:
-    """Vectorized twin of `_eval_expr`: evaluates over parallel arrays."""
+    """Evaluate a scalar expression elementwise over parallel arrays.
+
+    `env` maps each variable to its array and `tags` to its semiring;
+    returns the result array and its semiring.
+    """
     if isinstance(expr, SVar):
         return env[expr.name], tags[expr.name]
     if isinstance(expr, SLit):
@@ -614,10 +383,22 @@ def veval_expr(
         c, csr = veval_expr(expr.cond, env, tags, flags)
         t, tsr = veval_expr(expr.then, env, tags, flags)
         o, _ = veval_expr(expr.other, env, tags, flags)
-        nonzero = c != ZERO_PAYLOAD[csr] if csr is not SemiringTag.BOOL else c
-        return np.where(nonzero, t, o), tsr
+        return np.where(is_zero(csr, c), o, t), tsr
     a, asr = veval_expr(expr.lhs, env, tags, flags)
     b, bsr = veval_expr(expr.rhs, env, tags, flags)
     if asr is not bsr:
         raise EngineError(f"operands of {expr.op!r} disagree: {asr} vs {bsr}")
     return _veval_bin(expr.op, asr, a, b, flags), asr
+
+
+def fn_is_sparse_safe(fn: PointwiseFn) -> bool:
+    """True when feeding every parameter its additive identity yields zero.
+
+    Operations with this property may run over sparse inputs unchanged.
+    """
+    env = {name: np.full(1, ZERO_PAYLOAD[tag], NUMPY_DTYPE[tag]) for name, tag in fn.params}
+    try:
+        out, tag = veval_expr(fn.body, env, dict(fn.params))
+    except EngineError:
+        return False
+    return bool(is_zero(tag, out).all())

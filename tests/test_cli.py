@@ -1,7 +1,14 @@
 """Driver behavior: pipeline wiring, preprocessing, exit codes."""
 
+import importlib.resources as res
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import graphalg
 from graphalg.cli import main, preprocess_fragment
 from graphalg.engine import CallBinding, ExecOptions, execute
 from graphalg.harness import make_graph_input, oracle_check
@@ -35,6 +42,18 @@ def graph_files(tmp_path):
     v.write_text("10\n20\n30\n")
     e.write_text("10 20\n20 30\n")
     return v, e
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(graphalg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphalg.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return proc.returncode, proc.stderr
 
 
 @pytest.fixture
@@ -127,10 +146,32 @@ class TestRun:
 
     def test_missing_graph_flags_usage(self, program_file):
         assert main(["run", str(program_file)]) == 1
+        assert main(["run", str(program_file), "--dump-plan", "--stats"]) == 1
+
+    def test_negative_iters_is_usage_error(self, graph_files):
+        v, e = graph_files
+        pr = res.files("graphalg.stdlib").joinpath("pr.gr")
+        code, err = run_cli("run", pr, "--vertices", v, "--edges", e, "--iters", "-5")
+        assert code == 1
+        assert "--iters" in err and "Traceback" not in err
+
+    def test_nan_damping_is_usage_error(self, graph_files):
+        v, e = graph_files
+        pr = res.files("graphalg.stdlib").joinpath("pr.gr")
+        code, err = run_cli("run", pr, "--vertices", v, "--edges", e, "--damping", "nan")
+        assert code == 1
+        assert "--damping" in err and "Traceback" not in err
+
+    def test_missing_edge_file_is_load_error(self, program_file, graph_files, tmp_path):
+        v, _ = graph_files
+        missing = tmp_path / "absent.e"
+        code, err = run_cli(
+            "run", program_file, "--vertices", v, "--edges", missing, "--source", "10"
+        )
+        assert code == 3
+        assert "absent.e" in err and "Traceback" not in err
 
     def test_pagerank_with_sink_sums_to_one(self, tmp_path):
-        import importlib.resources as res
-
         program = str(res.files("graphalg.stdlib").joinpath("pr.gr"))
         v = tmp_path / "g.v"
         e = tmp_path / "g.e"

@@ -215,6 +215,19 @@ func f(v: Vector<s, int>) -> Vector<s, int> {
         assert out.to_dict() == {(0, 0): 5}
         assert sum(stats.loop_iterations.values()) == 0
 
+    def test_negative_loop_bound_rejected(self):
+        text = """
+func f(v: Vector<s, int>) -> Vector<s, int> {
+    for i in 0..k {
+        v += v;
+    }
+    return v;
+}
+"""
+        v = MatrixRelation.from_tuples(I, 2, 1, [(0, 0, 5)])
+        with pytest.raises(BindingError, match="non-negative"):
+            run_source(text, "f", CallBinding(args={"v": v}, dims={"k": -5}))
+
 
 class TestMerge:
     def test_trop_min_merge(self):
@@ -243,6 +256,16 @@ class TestMerge:
         merged, changed = merge_in_place(state, delta)
         assert changed
         assert len(merged) == 0
+
+    def test_argmin_col_keeps_first_column_per_row(self):
+        state = MatrixRelation.from_tuples(I, 3, 4, [(0, 2, 7), (1, 1, 4)])
+        delta = MatrixRelation.from_tuples(I, 3, 4, [(0, 1, 8), (1, 1, 9), (2, 3, 5)])
+        merged, changed = merge_in_place(state, delta, "argmin_col")
+        assert changed
+        # a smaller column replaces row 0; the existing tuple wins the tie in row 1
+        assert merged.to_dict() == {(0, 1): 8, (1, 1): 4, (2, 3): 5}
+        again, changed = merge_in_place(merged, merged, "argmin_col")
+        assert not changed and again.to_dict() == merged.to_dict()
 
     def test_shape_mismatch_rejected(self):
         a = MatrixRelation.empty(T, 2, 1)

@@ -54,6 +54,37 @@ class TestLoad:
         assert load_graph(v, e, "trop").adjacency.to_dict() == {(0, 1): 3.0}
         assert load_graph(v, e, "real").adjacency.to_dict() == {(0, 1): 8.0}
 
+    def test_duplicates_match_a_sequential_fold(self, tmp_path):
+        # reference: fold each key's weights one by one in file order
+        rng = np.random.default_rng(5)
+        edges = [(int(s), int(d), float(w)) for s, d, w in zip(
+            rng.integers(0, 4, 400), rng.integers(0, 4, 400), rng.uniform(-4, 4, 400).round(2)
+        )]
+        edges += [(4, 4, 1.5), (4, 4, -1.5), (4, 3, 0.0), (4, 3, 0.0)]
+        v, e = files(
+            tmp_path, "".join(f"{i}\n" for i in range(5)),
+            "".join(f"{s} {d} {w}\n" for s, d, w in edges),
+        )
+        folds = {"bool": (lambda a, b: True, False), "trop": (min, math.inf),
+                 "real": (lambda a, b: a + b, 0.0)}
+        for mode, (add, zero) in folds.items():
+            ref: dict = {}
+            abs_sum: dict = {}
+            for s, d, w in edges:
+                value = True if mode == "bool" else w
+                ref[(s, d)] = add(ref[(s, d)], value) if (s, d) in ref else value
+                abs_sum[(s, d)] = abs_sum.get((s, d), 0.0) + abs(w)
+            g = load_graph(v, e, mode)
+            assert g.duplicate_edges == len(edges) - len(ref)
+            got = g.adjacency.to_dict()
+            want = {k: x for k, x in ref.items() if x != zero}
+            assert set(got) == set(want), mode
+            for k in want:
+                # numpy may group a long REAL fold pairwise, which moves each
+                # partial sum by at most one rounding
+                tol = len(edges) * np.finfo(np.float64).eps * abs_sum[k] if mode == "real" else 0
+                assert abs(got[k] - want[k]) <= tol, (mode, k)
+
     def test_unknown_endpoint_reports_line(self, tmp_path):
         v, e = files(tmp_path, "10\n", "10 99\n")
         with pytest.raises(GraphLoadError) as exc:

@@ -84,15 +84,9 @@ func f(v: Vector<3, bool>) -> Vector<3, bool> {
         assert rel.to_dict() == {(0, 0): True, (1, 0): True, (2, 0): True}
         assert rel.dense
 
-    def test_pipeline_matches_staged_optimization(self, sssp_src):
-        from graphalg.core import lower
-        from graphalg.optimizer import pipeline
-        from graphalg.typecheck import check_program
-        from graphalg.parser import parse
-
-        plans = pipeline(lower(check_program(parse(sssp_src))), level=2)
-        staged = compile_source(sssp_src, opt_level=2).plan_for("sssp")
-        assert pretty_plan(plans["sssp"]) == pretty_plan(staged)
+    def test_compile_source_rejects_unknown_opt_level(self, sssp_src):
+        with pytest.raises(ValueError, match="0, 1 or 2"):
+            compile_source(sssp_src, opt_level=3)
 
     def test_pick_any_compiles_to_aggregation(self):
         text = "func f(m: Matrix<s, s, int>) -> Matrix<s, s, int> { return pickAny(m); }"
