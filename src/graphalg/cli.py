@@ -262,7 +262,11 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         return EXIT_RUNTIME
 
     if ns.output:
-        write_result(result, graph.ext_ids, ns.output)
+        try:
+            write_result(result, graph.ext_ids, ns.output)
+        except OSError as exc:
+            print(f"cannot write {ns.output}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         if ns.stats:
             print(stats.to_text(), end="")
     else:

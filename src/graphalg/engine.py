@@ -261,7 +261,10 @@ class ExecOptions:
 
 def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
     """Index of the first element of each run of equal keys."""
-    return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    first = np.empty(len(sorted_keys), np.bool_)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def fold_rowcol(
@@ -568,10 +571,12 @@ class Executor:
         raise EngineError(f"unknown join pattern {node.pattern!r}")
 
     def _join_matmul(self, node: PJoin, a: MatrixRelation, b: MatrixRelation):
-        # probe b (sorted by row) with a's column keys
-        lo = np.searchsorted(b.rows, a.cols, side="left")
-        hi = np.searchsorted(b.rows, a.cols, side="right")
-        counts = hi - lo
+        # probe b through its row pointer: b's tuples of row r are
+        # ptr[r]:ptr[r+1], since b is sorted by row
+        ptr = np.zeros(b.nrows + 1, np.int64)
+        np.cumsum(np.bincount(b.rows, minlength=b.nrows), out=ptr[1:])
+        lo = ptr[a.cols]
+        counts = ptr[a.cols + 1] - lo
         total = int(counts.sum())
         nr, nc = self.shape(node)
         if total == 0:
@@ -604,12 +609,28 @@ class Executor:
         stride = np.int64(max(nc, 1))
         lkey = lt.rows * stride + lt.cols
         rkey = rt.rows * stride + rt.cols
-        all_keys = np.union1d(lkey, rkey)
+        if self.options.debug_checks:
+            for side, key in (("left", lkey), ("right", rkey)):
+                if len(key) > 1 and not (key[1:] > key[:-1]).all():
+                    raise EngineError(
+                        f"pointwise join: {side} keys are not sorted and unique"
+                    )
+        # both key runs are sorted and unique: a stable sort of the two runs
+        # is a merge, and each key occurs once or twice in a row
+        keys = np.concatenate([lkey, rkey])
+        order = np.argsort(keys, kind="stable")
+        skeys = keys[order]
+        starts = _group_starts(skeys)
+        all_keys = skeys[starts]
         rows = all_keys // stride
         cols = all_keys - rows * stride
+        # slot[i]: the output position of input key i
+        first = np.zeros(len(skeys), np.int64)
+        first[starts] = 1
+        slot = np.empty(len(keys), np.int64)
+        slot[order] = np.cumsum(first) - 1
 
-        def pad(table: TupleTable, keys: np.ndarray) -> list[np.ndarray]:
-            pos = np.searchsorted(all_keys, keys)
+        def pad(table: TupleTable, pos: np.ndarray) -> list[np.ndarray]:
             out = []
             for col_vals, tag in zip(table.vals, table.tags):
                 padded = np.full(len(all_keys), ZERO_PAYLOAD[tag], NUMPY_DTYPE[tag])
@@ -622,7 +643,7 @@ class Executor:
             nc,
             rows,
             cols,
-            pad(lt, lkey) + pad(rt, rkey),
+            pad(lt, slot[: len(lkey)]) + pad(rt, slot[len(lkey) :]),
             list(lt.tags) + list(rt.tags),
             unique=True,
         )
@@ -680,8 +701,14 @@ class Executor:
         nid = self.pf.node_id(node)
         bound = self._resolve(node.bound)
         loop_env = dict(env)
-        for name, plan in node.hoisted:
-            loop_env[name] = self.eval(plan, env, memo)
+        # hoisted subplans come from the bodies, so they run only if the
+        # bodies would: a loop with bound 0 evaluates neither
+        hoisted = node.hoisted if bound > 0 else ()
+        for name, plan in hoisted:
+            rel = self.eval(plan, env, memo)
+            if isinstance(rel, TupleTable):
+                raise EngineError(f"hoisted subplan {name} produced an intermediate table")
+            loop_env[name] = rel
         states: dict[str, MatrixRelation] = {}
         for name, init in node.states:
             rel = self.eval(init, env, memo)

@@ -3,11 +3,12 @@ aggregation with fixpoint enabling.
 
 Sparsity runs on Core: matrices stay sparse by default, and an operation
 whose pointwise function does not map all-zeros to zero gets explicitly
-densified inputs. The loop passes run on plans: invariant
-aggregation-rooted fragments are hoisted out of loops (plain scans never
-are), and loop states that fold an aggregate over themselves plus a delta
-become persistent accumulation tables merged in place, which also makes
-the loop eligible for early fixpoint exit.
+densified inputs. The loop passes run on plans: every maximal subplan of
+a loop body that reads no loop state and not the loop index is hoisted
+out of the loop (bare scans and constants stay), and loop states that
+fold an aggregate over themselves plus a delta become persistent
+accumulation tables merged in place, which also makes the loop eligible
+for early fixpoint exit.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ from .core import (
 from .errors import DenseLimitError
 from .plan import (
     PAggregate,
+    PConstant,
     PJoin,
     PLoop,
     PMap,
     PScanArg,
+    PScanDomain,
     PUnion,
     PlanFunction,
     PlanNode,
@@ -168,7 +171,43 @@ def _references(node: PlanNode, names: set[str], memo: dict[int, bool]) -> bool:
     return result
 
 
+# leaves are never hoisted: binding a scan to a second name gains nothing
+_LEAVES = (PScanArg, PScanDomain, PConstant)
+
+
+def _yields_relation(node: PlanNode) -> bool:
+    """Whether the engine evaluates `node` to a canonical relation rather
+    than an intermediate tuple table (joins, unions, maps over them)."""
+    if isinstance(node, PJoin):
+        return node.pattern == "pad"
+    if isinstance(node, PUnion):
+        return False
+    if isinstance(node, PMap):
+        src = node.input
+        # a map over a keyed-unique input is canonicalized; pointwise and
+        # cross joins emit unique keys, a matmul join does not
+        if isinstance(src, PJoin):
+            return src.pattern != "matmul"
+        return _yields_relation(src)
+    return True
+
+
 def _hoist_loop(loop: PLoop) -> PLoop:
+    """Move every maximal loop-invariant subplan of the bodies before the loop.
+
+    A subtree is invariant when it reads no loop state and not the loop
+    index. Soundness: plan nodes are pure, so such a subtree has the same
+    value in every iteration, and evaluating it once before the loop (only
+    when the loop runs at all) yields the same states. The one observable
+    difference is that per-evaluation counters (`tuples_produced`,
+    `aggregations_executed`, `division_by_zero`, and the iterations of a
+    hoisted inner loop) count the subtree once per call.
+
+    A hoisted root must evaluate to a relation, so an invariant join or
+    union hoists its invariant operands instead. Bare leaves stay in the
+    body. An inner loop that reads this loop's state is not entered; the
+    pass has already hoisted out of it what is invariant to it.
+    """
     bound = {name for name, _ in loop.states}
     if loop.index_name:
         bound = bound | {loop.index_name}
@@ -176,18 +215,22 @@ def _hoist_loop(loop: PLoop) -> PLoop:
 
     hoists: list[tuple[str, PlanNode]] = []
     hoisted_ids: dict[int, str] = {}
+    seen: set[int] = set()
 
     def find(node: PlanNode):
-        if isinstance(node, PLoop):
-            return  # inner loops manage their own fragments
+        if id(node) in seen:
+            return
+        seen.add(id(node))
         if (
-            isinstance(node, PAggregate)
+            not isinstance(node, _LEAVES)
+            and _yields_relation(node)
             and not _references(node, bound, ref_memo)
         ):
-            if id(node) not in hoisted_ids:
-                name = f"cache{len(hoists)}"
-                hoisted_ids[id(node)] = name
-                hoists.append((name, node))
+            name = f"cache{len(hoists)}"
+            hoisted_ids[id(node)] = name
+            hoists.append((name, node))
+            return
+        if isinstance(node, PLoop):
             return
         for child in children(node):
             find(child)
@@ -228,7 +271,8 @@ def _hoist_loop(loop: PLoop) -> PLoop:
 
 
 def licm_pass(pf: PlanFunction) -> PlanFunction:
-    """Hoist loop-invariant aggregation-rooted fragments out of loops."""
+    """Hoist every maximal loop-invariant subplan out of its loop; see
+    `_hoist_loop` for the rule and its soundness condition."""
 
     def fn(node: PlanNode) -> PlanNode | None:
         if isinstance(node, PLoop):
@@ -299,13 +343,23 @@ def _rewrite_state_inplace(loop: PLoop, i: int) -> PLoop | None:
     if not rest:
         return None
     delta_src = rest[0] if len(rest) == 1 else PUnion(ty=body.ty, inputs=tuple(rest))
-    delta = PAggregate(
-        ty=body.ty,
-        input=delta_src,
-        group_by=body.group_by,
-        combine=body.combine,
-        label=body.label,
-    )
+    if (
+        isinstance(delta_src, PAggregate)
+        and delta_src.group_by == body.group_by
+        and delta_src.combine == body.combine
+        and body.label is None
+    ):
+        # an aggregate's output already has unique keys under its grouping,
+        # so folding it again with the same combine is the identity
+        delta = delta_src
+    else:
+        delta = PAggregate(
+            ty=body.ty,
+            input=delta_src,
+            group_by=body.group_by,
+            combine=body.combine,
+            label=body.label,
+        )
     bodies = list(loop.bodies)
     bodies[i] = delta
     inplace = list(loop.inplace)

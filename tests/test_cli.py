@@ -171,6 +171,20 @@ class TestRun:
         assert code == 3
         assert "absent.e" in err and "Traceback" not in err
 
+    def test_output_into_missing_directory_is_runtime_error(
+        self, program_file, graph_files, tmp_path
+    ):
+        v, e = graph_files
+        out = tmp_path / "missing_dir" / "out.tsv"
+        code, err = run_cli(
+            "run", program_file, "--vertices", v, "--edges", e, "--source", "10",
+            "--output", out,
+        )
+        assert code == 3
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"cannot write {out}: ")
+
     def test_pagerank_with_sink_sums_to_one(self, tmp_path):
         program = str(res.files("graphalg.stdlib").joinpath("pr.gr"))
         v = tmp_path / "g.v"

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,21 @@ from graphalg.api import compile_source, run_source
 from graphalg.engine import (
     CallBinding,
     ExecOptions,
+    Executor,
     MatrixRelation,
     assert_canonical,
     execute,
     merge_in_place,
     pick_any_aggregate,
 )
-from graphalg.errors import ArithmeticOverflowError, BindingError, DenseLimitError
+from graphalg.errors import (
+    ArithmeticOverflowError,
+    BindingError,
+    DenseLimitError,
+    EngineError,
+)
 from graphalg.harness import make_graph_input, source_vector
+from graphalg.plan import PJoin, PLoop, PlanFunction, finalize
 from graphalg.semiring import SemiringTag, ZERO_PAYLOAD
 
 B, I, R, T = SemiringTag.BOOL, SemiringTag.INT, SemiringTag.REAL, SemiringTag.TROP
@@ -109,6 +117,25 @@ func f(x: int) -> int {
         out, _ = run_source(text, "f", CallBinding(args={"x": x}))
         assert out.to_dict() == {(0, 0): 16}  # 10 + 0 + 1 + 2 + 3
 
+    def test_hoisted_intermediate_table_rejected(self, reach_src):
+        pf = compile_source(reach_src, opt_level=1).plan_for("reach")
+        ((name, transpose),) = pf.root.hoisted
+        join = PJoin(
+            ty=transpose.ty,
+            left=transpose,
+            right=transpose.input,
+            pattern="matmul",
+            val_tags=(B, B),
+        )
+        bad = PlanFunction(
+            pf.name, pf.params, replace(pf.root, hoisted=((name, join),)), pf.free_dim_symbols
+        )
+        finalize(bad)
+        g = make_graph_input(3, [(0, 1), (1, 2)], "bool")
+        binding = CallBinding(args={"G": g.adjacency, "src": source_vector(3, 0, B)})
+        with pytest.raises(EngineError, match=f"hoisted subplan {name}"):
+            execute(bad, binding)
+
     def test_division_by_zero_flagged_not_fatal(self):
         text = """
 func f(a: Vector<s, real>, b: Vector<s, real>) -> Vector<s, real> {
@@ -168,6 +195,26 @@ func f(v: Vector<s, int>, w: Vector<s, int>) -> Vector<s, int> {
         w = MatrixRelation.from_tuples(I, 3, 1, [(1, 0, 2), (2, 0, 1)])
         self._differential(text, "f", {"v": v, "w": w}, {"s": 3})
 
+    def test_invariant_inner_loop_hoisted_whole(self):
+        text = """
+func f(v: Vector<s, int>, w: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, int> {
+    for i in 0..2 {
+        u = w;
+        for j in 0..3 {
+            u += u * G;
+        }
+        v += u;
+    }
+    return v;
+}
+"""
+        pf = compile_source(text, opt_level=1).plan_for("f")
+        assert any(isinstance(p, PLoop) for _, p in pf.root.hoisted)
+        v = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1), (2, 0, -1)])
+        w = MatrixRelation.from_tuples(I, 3, 1, [(1, 0, 2), (2, 0, 1)])
+        g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, -1)])
+        self._differential(text, "f", {"v": v, "w": w, "G": g}, {"s": 3})
+
     def test_simultaneous_induction(self):
         text = """
 func g(a: Vector<s, trop>, G: Matrix<s, s, trop>) -> Vector<s, trop> {
@@ -201,19 +248,27 @@ func main(G: Matrix<n, n, real>) -> Vector<n, real> {
 
     def test_loop_bound_zero_keeps_init(self):
         text = """
-func f(v: Vector<s, int>) -> Vector<s, int> {
+func f(v: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, int> {
     for i in 0..k {
-        v += v;
+        v += STEP;
     }
     return v;
 }
 """
         v = MatrixRelation.from_tuples(I, 2, 1, [(0, 0, 5)])
-        out, stats = run_source(
-            text, "f", CallBinding(args={"v": v}, dims={"k": 0})
-        )
-        assert out.to_dict() == {(0, 0): 5}
-        assert sum(stats.loop_iterations.values()) == 0
+        # any product of G's weights overflows, so a hoisted G * G that ran
+        # would raise
+        g = MatrixRelation.from_tuples(I, 2, 2, [(0, 1, 2**62), (1, 1, 2**62)])
+        for step in ("v", "v * G.T", "v * (G * G)"):
+            pf = compile_source(text.replace("STEP", step)).plan_for("f")
+            # G.T and G * G read no state, so those loops have a hoisted subplan
+            assert bool(pf.root.hoisted) == ("G" in step)
+            out, stats = execute(pf, CallBinding(args={"v": v, "G": g}, dims={"k": 0}))
+            assert out.to_dict() == {(0, 0): 5}
+            assert sum(stats.loop_iterations.values()) == 0
+            # a hoisted subplan runs only if the bodies it came from would
+            for _, fragment in pf.root.hoisted:
+                assert pf.node_id(fragment) not in stats.tuples_produced
 
     def test_negative_loop_bound_rejected(self):
         text = """
@@ -334,6 +389,15 @@ func f(v: Vector<s, trop>, c: trop) -> Matrix<s, s, trop> {
 
 
 class TestMatmulOracle:
+    # (rows of a, inner, cols of b, tuple density of a, of b, rows of b kept)
+    EDGE_TRIALS = [
+        (5, 4, 6, 0.0, 0.5, None),  # a has no tuples
+        (5, 4, 6, 0.5, 0.0, None),  # b has no tuples
+        (6, 7, 5, 0.5, 0.6, 3),  # b's rows 3.. are empty
+        (7, 1, 6, 0.6, 0.6, None),  # inner dimension of size 1
+        (1, 1, 1, 1.0, 1.0, None),
+    ]
+
     @pytest.mark.parametrize("sr", [B, I, R, T])
     def test_against_dense_triple_loop(self, sr):
         rng = random.Random(hash(sr.value) & 0xFFFF)
@@ -343,14 +407,19 @@ func f(a: Matrix<s, t, SR>, b: Matrix<t, u, SR>) -> Matrix<s, u, SR> {
 }
 """.replace("SR", sr.value)
         compiled = compile_source(text)
-        for trial in range(6):
-            n1, n2, n3 = (rng.randint(1, 20) for _ in range(3))
+        for trial in [None] * 6 + self.EDGE_TRIALS:
+            if trial is None:
+                n1, n2, n3 = (rng.randint(1, 20) for _ in range(3))
+                da = db = 0.3
+                b_rows = None
+            else:
+                n1, n2, n3, da, db, b_rows = trial
 
-            def rand_rel(nr, nc):
+            def rand_rel(nr, nc, density, kept_rows=None):
                 tuples = []
-                for i in range(nr):
+                for i in range(nr if kept_rows is None else kept_rows):
                     for j in range(nc):
-                        if rng.random() < 0.3:
+                        if rng.random() < density:
                             if sr is B:
                                 v = True
                             elif sr is I:
@@ -360,7 +429,7 @@ func f(a: Matrix<s, t, SR>, b: Matrix<t, u, SR>) -> Matrix<s, u, SR> {
                             tuples.append((i, j, v))
                 return MatrixRelation.from_tuples(sr, nr, nc, tuples)
 
-            a, b = rand_rel(n1, n2), rand_rel(n2, n3)
+            a, b = rand_rel(n1, n2, da), rand_rel(n2, n3, db, b_rows)
             out, _ = execute(
                 compiled.plan_for("f"),
                 CallBinding(args={"a": a, "b": b}),
@@ -395,6 +464,46 @@ func f(a: Matrix<s, t, SR>, b: Matrix<t, u, SR>) -> Matrix<s, u, SR> {
                     )
                 else:
                     assert got[key] == expected[key]
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ([(0, 0, 1), (2, 1, 4)], [(0, 1, 2), (1, 0, -3)]),  # disjoint keys
+            ([(0, 0, 1), (1, 1, 5)], [(0, 0, 2), (1, 1, -5)]),  # identical keys
+            ([], [(0, 1, 2), (2, 0, 7)]),  # empty left side
+            ([(1, 0, 3)], []),  # empty right side
+        ],
+    )
+    def test_pointwise_join_against_dict(self, left, right):
+        text = """
+func f(a: Matrix<s, t, int>, b: Matrix<s, t, int>) -> Matrix<s, t, int> {
+    return a (.+) b;
+}
+"""
+        a = MatrixRelation.from_tuples(I, 3, 2, left)
+        b = MatrixRelation.from_tuples(I, 3, 2, right)
+        out, _ = run_source(
+            text, "f", CallBinding(args={"a": a, "b": b}),
+            options=ExecOptions(debug_checks=True),
+        )
+        ad, bd = a.to_dict(), b.to_dict()
+        expected = {k: ad.get(k, 0) + bd.get(k, 0) for k in set(ad) | set(bd)}
+        assert out.to_dict() == {k: v for k, v in expected.items() if v != 0}
+
+    def test_pointwise_join_debug_check_rejects_unsorted_keys(self):
+        text = """
+func f(a: Vector<s, int>, b: Vector<s, int>) -> Vector<s, int> {
+    return a (.+) b;
+}
+"""
+        ok = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1)])
+        pf = compile_source(text).plan_for("f")
+        ex = Executor(pf, CallBinding(args={"a": ok, "b": ok}), ExecOptions(debug_checks=True))
+        unsorted = MatrixRelation(
+            I, 3, 1, np.array([2, 0]), np.array([0, 0]), np.array([1, 1])
+        )
+        with pytest.raises(EngineError, match="left keys"):
+            ex._join_pointwise(pf.root.input, unsorted, ok)
 
 
 class TestDeterminism:

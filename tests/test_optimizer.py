@@ -8,7 +8,14 @@ from graphalg import stdlib
 from graphalg.api import compile_source
 from graphalg.cli import attach_preprocess
 from graphalg.core import CApply, CDensify, lower
-from graphalg.engine import CallBinding, ExecOptions, MatrixRelation, execute
+from graphalg.engine import (
+    CallBinding,
+    ExecOptions,
+    Executor,
+    MatrixRelation,
+    execute,
+    rel_equal,
+)
 from graphalg.errors import ArithmeticOverflowError, DenseLimitError
 from graphalg.harness import (
     identity_labels,
@@ -19,16 +26,28 @@ from graphalg.harness import (
 from graphalg.optimizer import (
     MAY_OMIT_ZEROS,
     MUST_BE_DENSE,
+    _yields_relation,
     licm_pass,
     sparsity_annotation,
     sparsity_pass,
 )
 from graphalg.parser import parse
-from graphalg.plan import PAggregate, PLoop, PScanArg, children, compile_program, pretty_plan
+from graphalg.printer import pretty_print
+from graphalg.plan import (
+    PAggregate,
+    PConstant,
+    PLoop,
+    PScanArg,
+    PScanDomain,
+    PTranspose,
+    children,
+    compile_program,
+    pretty_plan,
+)
 from graphalg.semiring import SemiringTag
 from graphalg.typecheck import check_program
 
-B, T, R = SemiringTag.BOOL, SemiringTag.TROP, SemiringTag.REAL
+B, T, R, I = SemiringTag.BOOL, SemiringTag.TROP, SemiringTag.REAL, SemiringTag.INT
 
 
 def core_of(text, **kw):
@@ -177,6 +196,68 @@ def _reach_pf(reach_src, level):
     return compile_source(reach_src, opt_level=level).plan_for("reach")
 
 
+# H = G.T is shared by both bodies; c * i reads the loop index
+LICM_EDGES = """
+func f(G: Matrix<s, s, int>, a: Vector<s, int>, b: Vector<s, int>, c: Vector<s, int>) -> Vector<s, int> {
+    H = G.T;
+    for i in 0..k {
+        a = H * b;
+        b = (H * a) (.+) (H * (c * i));
+    }
+    return a;
+}
+"""
+
+LEAVES = (PScanArg, PScanDomain, PConstant)
+
+
+def _loops(node, acc=None):
+    acc = [] if acc is None else acc
+    if isinstance(node, PLoop):
+        acc.append(node)
+    for c in children(node):
+        _loops(c, acc)
+    return acc
+
+
+def _loop_names(loop) -> set:
+    return {n for n, _ in loop.states} | ({loop.index_name} if loop.index_name else set())
+
+
+def _reads(node, names) -> bool:
+    if isinstance(node, PScanArg):
+        return node.name in names
+    return any(_reads(c, names) for c in children(node))
+
+
+def _scanned_names(nodes) -> set:
+    out = set()
+    for node in nodes:
+        if isinstance(node, PScanArg):
+            out.add(node.name)
+        out |= _scanned_names(children(node))
+    return out
+
+
+def _invariant_in_bodies(loop) -> list:
+    """Non-leaf body subtrees that read no loop state and not the index."""
+    names = _loop_names(loop)
+    found = []
+
+    def walk(node):
+        if isinstance(node, LEAVES):
+            return
+        if not _reads(node, names):
+            found.append(node)
+        elif not isinstance(node, PLoop):
+            for c in children(node):
+                walk(c)
+
+    for body in loop.bodies:
+        walk(body)
+    return found
+
+
 class TestLicm:
     def test_dedup_aggregate_hoisted_out_of_pagerank_loop(self):
         graph = make_graph_input(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], "bool")
@@ -199,10 +280,38 @@ class TestLicm:
         pf = _reach_pf(reach_src, 1)
         loop = pf.root
         assert isinstance(loop, PLoop)
-        # the edge scan stays in the body; nothing was invariant-aggregated
-        assert loop.hoisted == ()
-        body_text = pretty_plan(pf)
-        assert "ScanArg(G)" in body_text
+        # the edge scan is never a fragment of its own; its transpose is
+        # invariant and runs once before the loop
+        assert not any(isinstance(f, PScanArg) for _, f in loop.hoisted)
+        ((_, fragment),) = loop.hoisted
+        assert isinstance(fragment, PTranspose)
+        assert isinstance(fragment.input, PScanArg) and fragment.input.name == "G"
+        assert "ScanArg(cache0)" in pretty_plan(pf)
+
+    def test_shared_invariant_hoisted_once_readers_kept(self):
+        pf = compile_source(LICM_EDGES, opt_level=1).plan_for("f")
+        loop = pf.root
+        # H = G.T feeds both bodies: one fragment under one cache name
+        ((name, fragment),) = loop.hoisted
+        assert isinstance(fragment, PTranspose)
+        assert _scanned_names(loop.bodies) >= {name, loop.index_name, "c"}
+        assert not _scanned_names(loop.bodies) & {"G"}
+        # what reads the index (c * i) or a state (H * a) stays in the body
+        assert _invariant_in_bodies(loop) == []
+
+        g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 2), (1, 2, -1), (2, 0, 3)])
+        vec = lambda *t: MatrixRelation.from_tuples(I, 3, 1, list(t))
+        binding = lambda: CallBinding(
+            args={"G": g, "a": vec((0, 0, 1)), "b": vec((1, 0, 2)), "c": vec((2, 0, 1))},
+            dims={"k": 3},
+        )
+        outs = [
+            rel_canonical(
+                execute(compile_source(LICM_EDGES, opt_level=lvl).plan_for("f"), binding())[0]
+            )
+            for lvl in (0, 1)
+        ]
+        assert outs[0] == outs[1]
 
     def test_state_only_loop_unchanged(self):
         text = """
@@ -219,30 +328,61 @@ func f(v: Vector<s, int>) -> Vector<s, int> {
         assert pretty_plan(after) == pretty_plan(before)
 
     def test_hoisted_fragments_reference_no_state(self):
-        compiled = compile_source(stdlib.source("pr"), opt_level=2)
-        pf = compiled.plan_for(
+        pr = compile_source(stdlib.source("pr"), opt_level=2).plan_for(
             "pagerank", transform=lambda p: attach_preprocess(p, "G", dedup_edges=True)
         )
+        edges = compile_source(LICM_EDGES, opt_level=2).plan_for("f")
+        for pf in (pr, edges):
+            for loop in _loops(pf.root):
+                assert loop.hoisted
+                for _, fragment in loop.hoisted:
+                    assert not _reads(fragment, _loop_names(loop))
+                assert _invariant_in_bodies(loop) == []
 
-        def loops(node, acc):
-            if isinstance(node, PLoop):
-                acc.append(node)
-            for c in children(node):
-                loops(c, acc)
-            return acc
+    @pytest.mark.parametrize("program", ["pr", "wcc"] + [f"gen{i}" for i in range(8)])
+    def test_relation_roots_match_engine(self, program):
+        # only nodes the engine evaluates to a relation may be hoisted
+        if program.startswith("gen"):
+            gp = gen_program(int(program[3:]) + 500)
+            compiled = compile_source(pretty_print(gp.program), opt_level=0)
+            pf = compiled.plan_for("main")
+            binding = CallBinding(args=dict(gen_inputs(gp, 7)[1]), dims=dict(gp.dims))
+        else:
+            pf = compile_source(stdlib.source(program), opt_level=0).plan_for(
+                stdlib.entry_function(program)
+            )
+            g = make_graph_input(5, [(0, 1), (1, 2), (2, 0), (3, 4)], "bool")
+            args = {"G": g.adjacency}
+            if program == "pr":
+                args["damping"] = scalar_relation(R, 0.85)
+            else:
+                args["labels"] = identity_labels(5)
+            binding = CallBinding(args=args, dims={"iters": 3} if program == "pr" else {})
+        checked = []
 
-        for loop in loops(pf.root, []):
-            state_names = {n for n, _ in loop.states}
-            if loop.index_name:
-                state_names.add(loop.index_name)
+        class Checking(Executor):
+            def eval(self, node, env, memo):
+                out = super().eval(node, env, memo)
+                assert isinstance(out, MatrixRelation) == _yields_relation(node), node
+                checked.append(node)
+                return out
 
-            def refs(node):
-                if isinstance(node, PScanArg) and node.name in state_names:
-                    return True
-                return any(refs(c) for c in children(node))
+        try:
+            Checking(pf, binding, ExecOptions()).run()
+        except ArithmeticOverflowError:
+            pass
+        assert checked
 
-            for _, fragment in loop.hoisted:
-                assert not refs(fragment)
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("name", ["reach", "bfs", "sssp", "pr", "wcc"])
+    def test_stdlib_loop_bodies_keep_no_invariant_subtree(self, name, level):
+        pf = compile_source(stdlib.source(name), opt_level=level).plan_for(
+            stdlib.entry_function(name)
+        )
+        loops = _loops(pf.root)
+        assert loops
+        for loop in loops:
+            assert _invariant_in_bodies(loop) == []
 
 
 class TestInPlace:
@@ -258,6 +398,28 @@ class TestInPlace:
     def test_reach_apply_add_normalized_then_rewritten(self, reach_src):
         pf = _reach_pf(reach_src, 2)
         assert pf.root.inplace == (True,)
+
+    @pytest.mark.parametrize("name", ["reach", "bfs", "sssp", "wcc"])
+    def test_inplace_body_folds_to_one_aggregate(self, name):
+        def aggregates(node):
+            own = 1 if isinstance(node, PAggregate) else 0
+            return own + sum(aggregates(c) for c in children(node))
+
+        pf = compile_source(stdlib.source(name), opt_level=2).plan_for(
+            stdlib.entry_function(name)
+        )
+        assert pf.root.inplace == (True,)
+        assert aggregates(pf.root.bodies[0]) == 1
+
+        from graphalg.harness import run_stdlib
+
+        edges = [(0, 1), (1, 2), (2, 0), (1, 3), (4, 1), (3, 5)]
+        if name == "sssp":
+            g = make_graph_input(6, [(a, b, 1.0 + (a * b) % 3) for a, b in edges], "trop")
+        else:
+            g = make_graph_input(6, edges, "bool")
+        outs = [run_stdlib(name, g, source=0, opt_level=lvl)[0] for lvl in (1, 2)]
+        assert rel_equal(outs[0], outs[1])
 
     def test_loop_without_self_accumulation_unchanged(self):
         compiled = compile_source(stdlib.source("pr"), opt_level=2)
