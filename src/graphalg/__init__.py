@@ -6,7 +6,7 @@ with a bounded Loop operator, optimized, and executed over sparse
 (row, col, value) tuple tables.
 """
 
-from .api import Compiled, compile_source, dump_core_text, run_source
+from .api import Compiled, compile_source, run_source
 from .engine import (
     CallBinding,
     ExecOptions,
@@ -30,7 +30,6 @@ __all__ = [
     "MatrixRelation",
     "SemiringTag",
     "compile_source",
-    "dump_core_text",
     "execute",
     "load_graph",
     "merge_in_place",

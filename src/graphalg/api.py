@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import CoreProgram, dump_core, lower, validate_core
+from .core import CoreProgram, lower, validate_core
 from .engine import CallBinding, ExecOptions, ExecStats, MatrixRelation, execute
 from .errors import CoreValidationError
 from .optimizer import DEFAULT_DENSE_LIMIT, optimize_plan, sparsity_pass
@@ -90,8 +90,3 @@ def run_source(
     pf = compiled.plan_for(func)
     options = options or ExecOptions(dense_limit=dense_limit)
     return execute(pf, binding, options)
-
-
-def dump_core_text(text: str) -> str:
-    typed = check_program(parse(text))
-    return dump_core(lower(typed))

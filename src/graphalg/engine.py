@@ -7,8 +7,10 @@ exactly once. Execution is deterministic: REAL aggregation folds group
 members in a fixed sorted order, so repeated runs (and permuted input
 orders) produce bitwise-identical canonical outputs.
 
-The Loop operator evaluates one body subplan per state variable against
-the previous iteration's states, then commits all states at once. States
+The Loop operator evaluates its hoisted subplans once, then one body
+subplan per state variable against the previous iteration's states, and
+commits all states at once. Each iteration starts from a memo that holds
+the hoisted values, so the bodies read them instead of recomputing. States
 rewritten for in-place aggregation keep a persistent table and merge each
 iteration's delta into it; when fixpoint checking is enabled, an iteration
 that changes no state terminates the loop early.
@@ -700,15 +702,12 @@ class Executor:
     def _eval_loop(self, node: PLoop, env: dict, memo: dict):
         nid = self.pf.node_id(node)
         bound = self._resolve(node.bound)
-        loop_env = dict(env)
-        # hoisted subplans come from the bodies, so they run only if the
-        # bodies would: a loop with bound 0 evaluates neither
-        hoisted = node.hoisted if bound > 0 else ()
-        for name, plan in hoisted:
-            rel = self.eval(plan, env, memo)
-            if isinstance(rel, TupleTable):
-                raise EngineError(f"hoisted subplan {name} produced an intermediate table")
-            loop_env[name] = rel
+        # hoisted subplans are nodes of the bodies that read no loop state:
+        # their values seed every iteration's memo. They run only if the
+        # bodies would, so a loop with bound 0 evaluates neither.
+        shared = (
+            {id(p): self.eval(p, env, memo) for _, p in node.hoisted} if bound > 0 else {}
+        )
         states: dict[str, MatrixRelation] = {}
         for name, init in node.states:
             rel = self.eval(init, env, memo)
@@ -719,7 +718,7 @@ class Executor:
         check_fixpoint = node.fixpoint and not self.options.disable_fixpoint
 
         for it in range(bound):
-            iter_env = dict(loop_env)
+            iter_env = dict(env)
             iter_env.update(states)
             if node.index_name:
                 iter_env[node.index_name] = MatrixRelation(
@@ -731,7 +730,7 @@ class Executor:
                     np.array([it], np.int64),
                     dense=True,
                 )
-            iter_memo: dict = {}
+            iter_memo = dict(shared)
             results = [self.eval(body, iter_env, iter_memo) for body in node.bodies]
             changed_any = False
             for i, name in enumerate(names):

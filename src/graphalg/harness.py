@@ -14,8 +14,15 @@ import numpy as np
 
 from . import stdlib
 from .api import compile_source
-from .engine import CallBinding, ExecOptions, ExecStats, MatrixRelation, execute
-from .graph_io import GraphInput
+from .engine import (
+    CallBinding,
+    ExecOptions,
+    ExecStats,
+    MatrixRelation,
+    execute,
+    fold_rowcol,
+)
+from .graph_io import MODES, GraphInput
 from .oracles import (
     bellman_ford_oracle,
     bfs_oracle,
@@ -24,7 +31,7 @@ from .oracles import (
     reach_oracle,
     wcc_partition_oracle,
 )
-from .semiring import SemiringTag
+from .semiring import NUMPY_DTYPE, SemiringTag
 
 
 # ---------------------------------------------------------------------------
@@ -39,20 +46,16 @@ def make_graph_input(
     ext_stride: int = 1,
     ext_offset: int = 0,
 ) -> GraphInput:
-    """Build an in-memory GraphInput; edges are (src, dst[, weight])."""
-    sr = {"bool": SemiringTag.BOOL, "trop": SemiringTag.TROP, "real": SemiringTag.REAL}[mode]
+    """Build an in-memory GraphInput; edges are (src, dst[, weight]).
+
+    Duplicate edges fold with the semiring addition, as in `load_graph`.
+    """
+    sr = MODES[mode]
     weighted = mode != "bool"
-    tuples = []
-    seen = {}
-    for e in edges:
-        a, b = e[0], e[1]
-        v = float(e[2]) if weighted else True
-        key = (a, b)
-        if key in seen:
-            continue
-        seen[key] = True
-        tuples.append((a, b, v))
-    adjacency = MatrixRelation.from_tuples(sr, n, n, tuples)
+    rows = np.array([e[0] for e in edges], np.int64)
+    cols = np.array([e[1] for e in edges], np.int64)
+    vals = np.array([float(e[2]) if weighted else True for e in edges], NUMPY_DTYPE[sr])
+    adjacency = fold_rowcol(sr, n, n, rows, cols, vals)
     ext_ids = np.arange(n, dtype=np.uint64) * np.uint64(ext_stride) + np.uint64(ext_offset)
     return GraphInput(ext_ids=ext_ids, adjacency=adjacency, weighted=weighted)
 

@@ -3,17 +3,20 @@ aggregation with fixpoint enabling.
 
 Sparsity runs on Core: matrices stay sparse by default, and an operation
 whose pointwise function does not map all-zeros to zero gets explicitly
-densified inputs. The loop passes run on plans: every maximal subplan of
-a loop body that reads no loop state and not the loop index is hoisted
-out of the loop (bare scans and constants stay), and loop states that
-fold an aggregate over themselves plus a delta become persistent
-accumulation tables merged in place, which also makes the loop eligible
-for early fixpoint exit.
+densified inputs. The loop passes run on plans. Loop states that fold
+an aggregate over themselves plus a delta become persistent accumulation
+tables merged in place, which also makes the loop eligible for early
+fixpoint exit. Then every maximal subplan of a loop body that reads no
+loop state and not the loop index is hoisted (bare scans and constants
+stay): it stays in the body, shared by node identity, and the loop lists
+it so the engine evaluates it once before the first iteration.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
+from typing import Iterator
 
 from . import ast as A
 from .core import (
@@ -43,7 +46,6 @@ from .plan import (
     PUnion,
     PlanFunction,
     PlanNode,
-    _with_children,
     children,
     finalize,
     rewrite,
@@ -171,112 +173,68 @@ def _references(node: PlanNode, names: set[str], memo: dict[int, bool]) -> bool:
     return result
 
 
-# leaves are never hoisted: binding a scan to a second name gains nothing
+# leaves are never hoisted: sharing a scan gains nothing
 _LEAVES = (PScanArg, PScanDomain, PConstant)
 
 
-def _yields_relation(node: PlanNode) -> bool:
-    """Whether the engine evaluates `node` to a canonical relation rather
-    than an intermediate tuple table (joins, unions, maps over them)."""
-    if isinstance(node, PJoin):
-        return node.pattern == "pad"
-    if isinstance(node, PUnion):
-        return False
-    if isinstance(node, PMap):
-        src = node.input
-        # a map over a keyed-unique input is canonicalized; pointwise and
-        # cross joins emit unique keys, a matmul join does not
-        if isinstance(src, PJoin):
-            return src.pattern != "matmul"
-        return _yields_relation(src)
-    return True
-
-
-def _hoist_loop(loop: PLoop) -> PLoop:
-    """Move every maximal loop-invariant subplan of the bodies before the loop.
+def _hoist_loop(loop: PLoop, names: Iterator[str]) -> PLoop:
+    """Mark every maximal loop-invariant subplan of the bodies as hoisted.
 
     A subtree is invariant when it reads no loop state and not the loop
-    index. Soundness: plan nodes are pure, so such a subtree has the same
-    value in every iteration, and evaluating it once before the loop (only
-    when the loop runs at all) yields the same states. The one observable
-    difference is that per-evaluation counters (`tuples_produced`,
-    `aggregations_executed`, `division_by_zero`, and the iterations of a
-    hoisted inner loop) count the subtree once per call.
+    index; bare leaves are not hoisted. The bodies stay as they are: a
+    hoisted node is the same object the bodies read, and the engine
+    evaluates it once before the first iteration (only when the loop runs
+    at all) and seeds each iteration's memo with its value. Soundness:
+    plan nodes are pure, so an invariant subtree has the same value in
+    every iteration, whether that value is a relation or a tuple table.
+    The one observable difference is that per-evaluation counters
+    (`tuples_produced`, `aggregations_executed`, `division_by_zero`, and
+    the iterations of a hoisted inner loop) count the subtree once per call.
 
-    A hoisted root must evaluate to a relation, so an invariant join or
-    union hoists its invariant operands instead. Bare leaves stay in the
-    body. An inner loop that reads this loop's state is not entered; the
-    pass has already hoisted out of it what is invariant to it.
+    An inner loop that reads this loop's state is searched where it runs
+    once per iteration of this loop: its state inits, and its hoisted
+    subplans when its bound is a positive literal (a bound that may be 0
+    would never evaluate them). Its bodies are not searched: they read the
+    inner states, which this loop's invariance test does not see.
     """
     bound = {name for name, _ in loop.states}
     if loop.index_name:
         bound = bound | {loop.index_name}
     ref_memo: dict[int, bool] = {}
-
     hoists: list[tuple[str, PlanNode]] = []
-    hoisted_ids: dict[int, str] = {}
-    seen: set[int] = set()
+    seen = {id(p) for _, p in loop.hoisted}
 
     def find(node: PlanNode):
         if id(node) in seen:
             return
         seen.add(id(node))
-        if (
-            not isinstance(node, _LEAVES)
-            and _yields_relation(node)
-            and not _references(node, bound, ref_memo)
-        ):
-            name = f"cache{len(hoists)}"
-            hoisted_ids[id(node)] = name
-            hoists.append((name, node))
-            return
-        if isinstance(node, PLoop):
-            return
-        for child in children(node):
-            find(child)
+        if not isinstance(node, _LEAVES) and not _references(node, bound, ref_memo):
+            hoists.append((next(names), node))
+        elif isinstance(node, PLoop):
+            runs = isinstance(node.bound, A.DimLit) and node.bound.value > 0
+            for _, sub in (node.hoisted if runs else ()) + node.states:
+                find(sub)
+        else:
+            for child in children(node):
+                find(child)
 
     for body in loop.bodies:
         find(body)
     if not hoists:
         return loop
-
-    def swap(node: PlanNode) -> PlanNode | None:
-        name = hoisted_ids.get(id(node))
-        if name is not None:
-            return PScanArg(ty=node.ty, mark=node.mark, name=name)
-        return None
-
-    # replace hoisted fragments inside bodies; the original subplan objects
-    # move to the loop's pre-iteration bindings
-    new_bodies = []
-    for body in loop.bodies:
-        memo: dict[int, PlanNode] = {}
-
-        def go(n: PlanNode) -> PlanNode:
-            if id(n) in memo:
-                return memo[id(n)]
-            swapped = swap(n)
-            if swapped is None:
-                swapped = _with_children(n, tuple(go(c) for c in children(n)))
-            memo[id(n)] = swapped
-            return swapped
-
-        new_bodies.append(go(body))
-
-    return replace(
-        loop,
-        bodies=tuple(new_bodies),
-        hoisted=loop.hoisted + tuple(hoists),
-    )
+    return replace(loop, hoisted=loop.hoisted + tuple(hoists))
 
 
 def licm_pass(pf: PlanFunction) -> PlanFunction:
     """Hoist every maximal loop-invariant subplan out of its loop; see
-    `_hoist_loop` for the rule and its soundness condition."""
+    `_hoist_loop` for the rule and its soundness condition. Hoist names
+    are unique within the plan."""
+
+    names = (f"cache{i}" for i in itertools.count())
 
     def fn(node: PlanNode) -> PlanNode | None:
         if isinstance(node, PLoop):
-            return _hoist_loop(node)
+            return _hoist_loop(node, names)
         return None
 
     root = rewrite(pf.root, fn)
@@ -406,9 +364,10 @@ def inplace_agg_pass(pf: PlanFunction) -> PlanFunction:
 
 
 def optimize_plan(pf: PlanFunction, level: int) -> PlanFunction:
-    if level >= 1:
-        pf = licm_pass(pf)
+    # in-place first, so an invariant delta it builds is hoisted as well
     if level >= 2:
         pf = inplace_agg_pass(pf)
+    if level >= 1:
+        pf = licm_pass(pf)
     finalize(pf)
     return pf

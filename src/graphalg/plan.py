@@ -135,7 +135,8 @@ class PLoop(PlanNode):
     fixpoint: bool = False
     # per-state: body merges a delta into a persistent accumulation table
     inplace: tuple = ()
-    # loop-invariant fragments hoisted before the loop: (name, subplan)
+    # loop-invariant subplans evaluated once before the first iteration:
+    # (name, node), where node is the same object the bodies read
     hoisted: tuple = ()
 
 

@@ -18,6 +18,7 @@ from graphalg.engine import (
     execute,
     merge_in_place,
     pick_any_aggregate,
+    rel_equal,
 )
 from graphalg.errors import (
     ArithmeticOverflowError,
@@ -117,24 +118,34 @@ func f(x: int) -> int {
         out, _ = run_source(text, "f", CallBinding(args={"x": x}))
         assert out.to_dict() == {(0, 0): 16}  # 10 + 0 + 1 + 2 + 3
 
-    def test_hoisted_intermediate_table_rejected(self, reach_src):
-        pf = compile_source(reach_src, opt_level=1).plan_for("reach")
-        ((name, transpose),) = pf.root.hoisted
-        join = PJoin(
-            ty=transpose.ty,
-            left=transpose,
-            right=transpose.input,
-            pattern="matmul",
-            val_tags=(B, B),
-        )
-        bad = PlanFunction(
+    def test_hoisted_intermediate_table_shared(self):
+        text = """
+func f(v: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, int> {
+    for i in 0..3 {
+        v += v * (G * G);
+    }
+    return v;
+}
+"""
+        pf = compile_source(text, opt_level=1).plan_for("f")
+        # the hoisted node is (G * G).T
+        ((name, square),) = pf.root.hoisted
+        # hoist the matmul join under G * G instead: its value is a tuple
+        # table, which every iteration's aggregate then reads from the memo
+        join = square.input.input.input
+        assert isinstance(join, PJoin) and join.pattern == "matmul"
+        shared = PlanFunction(
             pf.name, pf.params, replace(pf.root, hoisted=((name, join),)), pf.free_dim_symbols
         )
-        finalize(bad)
-        g = make_graph_input(3, [(0, 1), (1, 2)], "bool")
-        binding = CallBinding(args={"G": g.adjacency, "src": source_vector(3, 0, B)})
-        with pytest.raises(EngineError, match=f"hoisted subplan {name}"):
-            execute(bad, binding)
+        finalize(shared)
+        v = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1), (2, 0, -1)])
+        g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 1), (1, 2, 2), (1, 0, 3), (2, 0, -1)])
+        binding = lambda: CallBinding(args={"v": v, "G": g})
+        out, stats = execute(shared, binding(), ExecOptions(debug_checks=True))
+        expected, _ = execute(compile_source(text, opt_level=0).plan_for("f"), binding())
+        assert rel_equal(out, expected)
+        assert stats.tuples_produced[shared.node_id(join)] == 5
+        assert stats.aggregations_executed[shared.node_id(square.input)] == 3
 
     def test_division_by_zero_flagged_not_fatal(self):
         text = """
@@ -208,12 +219,75 @@ func f(v: Vector<s, int>, w: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, 
     return v;
 }
 """
-        pf = compile_source(text, opt_level=1).plan_for("f")
-        assert any(isinstance(p, PLoop) for _, p in pf.root.hoisted)
         v = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1), (2, 0, -1)])
         w = MatrixRelation.from_tuples(I, 3, 1, [(1, 0, 2), (2, 0, 1)])
         g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, -1)])
+        for level in (1, 2):
+            pf = compile_source(text, opt_level=level).plan_for("f")
+            # at level 2 the hoisted node is the in-place delta over the loop
+            ((_, hoisted),) = pf.root.hoisted
+            assert isinstance(hoisted if level == 1 else hoisted.input, PLoop)
+            names = [n for node in pf.nodes if isinstance(node, PLoop) for n, _ in node.hoisted]
+            assert len(names) == len(set(names)) == 2
+            _, stats = execute(pf, CallBinding(args={"v": v, "w": w, "G": g}))
+            assert sum(stats.loop_iterations.values()) == 2 + 3
+            if level == 2:
+                # v += u: the in-place delta over the invariant u is hoisted
+                # with it, so it folds once per call, not once per iteration
+                (delta,) = pf.root.bodies
+                assert any(p is delta for _, p in pf.root.hoisted)
+                assert stats.aggregations_executed[pf.node_id(delta)] == 1
         self._differential(text, "f", {"v": v, "w": w, "G": g}, {"s": 3})
+
+    def test_outer_invariant_part_of_inner_loop_hoisted(self):
+        text = """
+func f(v: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, int> {
+    for i in 0..2 {
+        u = v;
+        for j in 0..3 {
+            u += u * (G * G);
+        }
+        v += u;
+    }
+    return v;
+}
+"""
+        v = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1), (2, 0, -1)])
+        g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, -1)])
+        for level in (1, 2):
+            pf = compile_source(text, opt_level=level).plan_for("f")
+            outer = pf.root
+            # the inner loop reads v, so it stays; G * G leaves both loops
+            (inner,) = [n for n in pf.nodes if isinstance(n, PLoop) and n is not outer]
+            ((_, square),) = outer.hoisted
+            assert [p for _, p in inner.hoisted] == [square]
+            _, stats = execute(pf, CallBinding(args={"v": v, "G": g}))
+            assert sum(stats.loop_iterations.values()) == 2 + 2 * 3
+            assert stats.aggregations_executed[pf.node_id(square.input)] == 1
+        self._differential(text, "f", {"v": v, "G": g}, {"s": 3})
+
+    def test_inner_loop_bound_zero_keeps_its_hoists(self):
+        text = """
+func f(v: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, int> {
+    for i in 0..2 {
+        u = v;
+        for j in 0..k {
+            u += u * (G * G);
+        }
+        v += u;
+    }
+    return v;
+}
+"""
+        v = MatrixRelation.from_tuples(I, 2, 1, [(0, 0, 5)])
+        # any product of G's weights overflows, so a G * G that ran would raise
+        g = MatrixRelation.from_tuples(I, 2, 2, [(0, 1, 2**62), (1, 1, 2**62)])
+        for level in (1, 2):
+            pf = compile_source(text, opt_level=level).plan_for("f")
+            # the inner bound may be 0, so G * G stays with the inner loop
+            assert pf.root.hoisted == ()
+            out, _ = execute(pf, CallBinding(args={"v": v, "G": g}, dims={"k": 0}))
+            assert out.to_dict() == {(0, 0): 20}
 
     def test_simultaneous_induction(self):
         text = """

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from graphalg.engine import MatrixRelation
+from graphalg.engine import MatrixRelation, rel_equal
 from graphalg.errors import GraphLoadError
 from graphalg.graph_io import format_value, load_graph, write_result
 from graphalg.harness import make_graph_input, run_stdlib
@@ -75,6 +75,8 @@ class TestLoad:
                 ref[(s, d)] = add(ref[(s, d)], value) if (s, d) in ref else value
                 abs_sum[(s, d)] = abs_sum.get((s, d), 0.0) + abs(w)
             g = load_graph(v, e, mode)
+            # the in-memory builder folds the same list the same way
+            assert rel_equal(make_graph_input(5, edges, mode).adjacency, g.adjacency), mode
             assert g.duplicate_edges == len(edges) - len(ref)
             got = g.adjacency.to_dict()
             want = {k: x for k, x in ref.items() if x != zero}
