@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .api import Compiled, compile_source
 from .core import dump_core
@@ -198,8 +199,8 @@ def build_binding(
 
 def _cmd_run(ns: argparse.Namespace) -> int:
     try:
-        text = open(ns.program).read()
-    except OSError as exc:
+        text = Path(ns.program).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {ns.program}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -298,8 +299,8 @@ def _graph_param_name(compiled: Compiled, func: str) -> str:
 
 def _cmd_check(ns: argparse.Namespace) -> int:
     try:
-        text = open(ns.program).read()
-    except OSError as exc:
+        text = Path(ns.program).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {ns.program}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -276,14 +276,16 @@ def fold_rowcol(
     rows: np.ndarray,
     cols: np.ndarray,
     vals: np.ndarray,
-) -> MatrixRelation:
+) -> tuple[MatrixRelation, int]:
     """Combine tuples that share a (row, col) key with semiring addition.
 
-    The sort is stable, so each group keeps its members in input order;
-    that keeps REAL sums bitwise reproducible.
+    Returns the relation and the number of distinct keys, counting those
+    whose sum is the identity and so is dropped. The sort is stable, so each
+    group keeps its members in input order; that keeps REAL sums bitwise
+    reproducible.
     """
     if len(rows) == 0:
-        return MatrixRelation.empty(sr, nrows, ncols)
+        return MatrixRelation.empty(sr, nrows, ncols), 0
     stride = np.int64(max(ncols, 1))
     key = rows * stride + cols
     order = np.argsort(key, kind="stable")
@@ -292,9 +294,10 @@ def fold_rowcol(
     folded = vadd_reduceat(sr, vals[order], starts)
     ukey = skey[starts]
     out_rows = ukey // stride
-    return canonicalize(
+    rel = canonicalize(
         sr, nrows, ncols, out_rows, ukey - out_rows * stride, folded, assume_sorted=True
     )
+    return rel, len(starts)
 
 
 def first_per_row(
@@ -697,7 +700,7 @@ class Executor:
             return MatrixRelation.empty(sr, nr, nc)
         if src.unique:
             return canonicalize(sr, nr, nc, rows, cols, vals)
-        return fold_rowcol(sr, nr, nc, rows, cols, vals)
+        return fold_rowcol(sr, nr, nc, rows, cols, vals)[0]
 
     def _eval_loop(self, node: PLoop, env: dict, memo: dict):
         nid = self.pf.node_id(node)

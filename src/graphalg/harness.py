@@ -55,7 +55,7 @@ def make_graph_input(
     rows = np.array([e[0] for e in edges], np.int64)
     cols = np.array([e[1] for e in edges], np.int64)
     vals = np.array([float(e[2]) if weighted else True for e in edges], NUMPY_DTYPE[sr])
-    adjacency = fold_rowcol(sr, n, n, rows, cols, vals)
+    adjacency, _ = fold_rowcol(sr, n, n, rows, cols, vals)
     ext_ids = np.arange(n, dtype=np.uint64) * np.uint64(ext_stride) + np.uint64(ext_offset)
     return GraphInput(ext_ids=ext_ids, adjacency=adjacency, weighted=weighted)
 

@@ -171,6 +171,29 @@ class TestRun:
         assert code == 3
         assert "absent.e" in err and "Traceback" not in err
 
+    def test_program_that_is_not_text_is_usage_error(self, tmp_path):
+        program = tmp_path / "bad.gr"
+        program.write_bytes(b"\xff\xfe")
+        for args in (("run", program, "--dump-plan"), ("check", program)):
+            code, err = run_cli(*args)
+            assert code == 1
+            assert err.startswith(f"cannot read {program}: ") and "Traceback" not in err
+
+    def test_vertex_id_out_of_range_is_load_error(self, program_file, tmp_path):
+        v, e = tmp_path / "g.v", tmp_path / "g.e"
+        v.write_text("18446744073709551616\n")
+        e.write_text("")
+        code, err = run_cli("run", program_file, "--vertices", v, "--edges", e, "--source", "1")
+        assert code == 3
+        assert err.splitlines() == [f"load error: {v}:1: vertex id out of range"]
+
+    @pytest.mark.parametrize("source", ["-1", "18446744073709551616", "15"])
+    def test_unknown_source_is_usage_error(self, program_file, graph_files, source):
+        v, e = graph_files
+        code, err = run_cli("run", program_file, "--vertices", v, "--edges", e, "--source", source)
+        assert code == 1
+        assert err.splitlines() == [f"load error: unknown vertex id {source}"]
+
     def test_output_into_missing_directory_is_runtime_error(
         self, program_file, graph_files, tmp_path
     ):
