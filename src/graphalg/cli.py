@@ -391,6 +391,8 @@ def main(argv=None) -> int:
             problem = "run needs --vertices and --edges"
         elif ns.iters < 0:
             problem = f"--iters must be non-negative, got {ns.iters}"
+        elif ns.dense_limit < 0:
+            problem = f"--dense-limit must be non-negative, got {ns.dense_limit}"
         elif not math.isfinite(ns.damping):
             problem = f"--damping must be a finite number, got {ns.damping}"
         if problem:

@@ -12,8 +12,11 @@ subplan per state variable against the previous iteration's states, and
 commits all states at once. Each iteration starts from a memo that holds
 the hoisted values, so the bodies read them instead of recomputing. States
 rewritten for in-place aggregation keep a persistent table and merge each
-iteration's delta into it; when fixpoint checking is enabled, an iteration
-that changes no state terminates the loop early.
+iteration's delta into it; the merge also returns the change set, and when
+fixpoint checking is enabled, an iteration whose merges change nothing
+terminates the loop early. A state marked semi-naive is read by its body
+as that change set (the init in the first iteration), not as the whole
+table; the loop still observes and returns the whole states.
 """
 
 from __future__ import annotations
@@ -165,9 +168,12 @@ def rel_equal(a: MatrixRelation, b: MatrixRelation) -> bool:
         return False
     if not (np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)):
         return False
-    if a.vals.dtype == np.float64:
-        return np.array_equal(a.vals.view(np.int64), b.vals.view(np.int64))
-    return np.array_equal(a.vals, b.vals)
+    return np.array_equal(_bits(a.vals), _bits(b.vals))
+
+
+def _bits(vals: np.ndarray) -> np.ndarray:
+    """Values as comparable bit patterns: floats compare bitwise."""
+    return vals.view(np.int64) if vals.dtype == np.float64 else vals
 
 
 @dataclass
@@ -328,41 +334,38 @@ def first_per_row(
 # ---------------------------------------------------------------------------
 
 
+def _find(skey: np.ndarray, qkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion position of each query key in the sorted keys, and whether
+    the key is there."""
+    pos = np.searchsorted(skey, qkey)
+    hit = np.zeros(len(qkey), np.bool_)
+    inside = pos < len(skey)
+    hit[inside] = skey[pos[inside]] == qkey[inside]
+    return pos, hit
+
+
 def merge_in_place(
     state: MatrixRelation, delta: MatrixRelation, combine: str = "add"
-) -> tuple[MatrixRelation, bool]:
+) -> tuple[MatrixRelation, MatrixRelation]:
     """Fold a delta into an accumulation table.
 
-    Returns the merged relation and whether anything changed; the change
-    flag drives fixpoint detection. The existing state value is always the
-    left operand of the combine.
+    Returns the merged relation and its change set: the tuples whose key is
+    new to the state or whose value the merge changed bitwise, holding
+    their merged values. Where a sum cancels, the key leaves the merged
+    state and its change-set entry holds the identity. The change set is
+    empty exactly when the merged relation equals the state, which drives
+    fixpoint detection, and it is sorted with unique keys. The existing
+    state value is always the left operand of the combine.
     """
     if state.shape != delta.shape or state.sr is not delta.sr:
         raise EngineError("merge_in_place: shape or semiring mismatch")
-    if len(delta) == 0:
-        return state, False
     sr = state.sr
-    nc = np.int64(max(state.ncols, 1))
-    skey = state.rows * nc + state.cols
-    dkey = delta.rows * nc + delta.cols
+    empty = MatrixRelation.empty(sr, state.nrows, state.ncols)
+    if len(delta) == 0:
+        return state, empty
+    skey = state.keys()
 
-    if combine == "add":
-        if len(skey) == 0:
-            hit = np.zeros(len(dkey), np.bool_)
-            pos_c = np.zeros(len(dkey), np.int64)
-        else:
-            pos_c = np.minimum(np.searchsorted(skey, dkey), len(skey) - 1)
-            hit = skey[pos_c] == dkey
-        new_vals = state.vals.copy()
-        if hit.any():
-            merged = vadd(sr, state.vals[pos_c[hit]], delta.vals[hit])
-            new_vals[pos_c[hit]] = merged
-        fresh = ~hit
-        rows = np.concatenate([state.rows, delta.rows[fresh]])
-        cols = np.concatenate([state.cols, delta.cols[fresh]])
-        vals = np.concatenate([new_vals, delta.vals[fresh]])
-        out = canonicalize(sr, state.nrows, state.ncols, rows, cols, vals, dense=state.dense)
-    elif combine == "argmin_col":
+    if combine == "argmin_col":
         # state before delta, so an existing tuple wins a tie on its key
         out = first_per_row(
             sr,
@@ -372,9 +375,43 @@ def merge_in_place(
             np.concatenate([state.cols, delta.cols]),
             np.concatenate([state.vals, delta.vals]),
         )
-    else:
+        # each row keeps one tuple, so a row that changed has a new tuple
+        pos, hit = _find(skey, out.keys())
+        change = ~hit
+        change[hit] = _bits(out.vals[hit]) != _bits(state.vals[pos[hit]])
+        return out, MatrixRelation(
+            sr, out.nrows, out.ncols, out.rows[change], out.cols[change], out.vals[change]
+        )
+    if combine != "add":
         raise EngineError(f"unknown combine kind {combine!r}")
-    return out, not rel_equal(out, state)
+
+    pos, hit = _find(skey, delta.keys())
+    at = pos[hit]
+    merged = delta.vals.copy()
+    merged[hit] = vadd(sr, state.vals[at], delta.vals[hit])
+    fresh = ~hit
+    if not state.dense:
+        fresh &= ~is_zero(sr, delta.vals)
+    change = fresh.copy()
+    change[hit] = _bits(merged[hit]) != _bits(state.vals[at])
+    if not change.any():
+        return state, empty
+    vals = state.vals.copy()
+    vals[at] = merged[hit]
+    rows, cols = state.rows, state.cols
+    if fresh.any():
+        # both key runs are sorted and unique, so inserting each fresh key at
+        # its search position keeps the table sorted
+        ins = pos[fresh]
+        rows = np.insert(rows, ins, delta.rows[fresh])
+        cols = np.insert(cols, ins, delta.cols[fresh])
+        vals = np.insert(vals, ins, delta.vals[fresh])
+    out = MatrixRelation(sr, state.nrows, state.ncols, rows, cols, vals, dense=state.dense)
+    if not state.dense and is_zero(sr, merged[hit]).any():
+        out = canonicalize(sr, out.nrows, out.ncols, rows, cols, vals, assume_sorted=True)
+    return out, MatrixRelation(
+        sr, state.nrows, state.ncols, delta.rows[change], delta.cols[change], merged[change]
+    )
 
 
 def pick_any_aggregate(rel: MatrixRelation) -> MatrixRelation:
@@ -719,10 +756,16 @@ class Executor:
             states[name] = rel
         names = [name for name, _ in node.states]
         check_fixpoint = node.fixpoint and not self.options.disable_fixpoint
+        # a semi-naive state's bodies read the change set of its last merge;
+        # the first iteration reads the whole init
+        deltas = {
+            name: states[name] for name, flag in zip(names, node.seminaive) if flag
+        }
 
         for it in range(bound):
             iter_env = dict(env)
             iter_env.update(states)
+            iter_env.update(deltas)
             if node.index_name:
                 iter_env[node.index_name] = MatrixRelation(
                     SemiringTag.INT,
@@ -743,8 +786,13 @@ class Executor:
                         if isinstance(node.bodies[i], PAggregate)
                         else "add"
                     )
-                    merged, changed = merge_in_place(states[name], results[i], combine)
+                    merged, change = merge_in_place(states[name], results[i], combine)
+                    if self.options.debug_checks:
+                        assert_canonical(merged)
                     states[name] = merged
+                    changed = len(change) > 0
+                    if name in deltas:
+                        deltas[name] = change
                 else:
                     new = results[i]
                     changed = not rel_equal(new, states[name])

@@ -1,15 +1,19 @@
 """Optimization passes: sparsity, loop-invariant code motion, in-place
-aggregation with fixpoint enabling.
+aggregation with fixpoint enabling and semi-naive evaluation.
 
 Sparsity runs on Core: matrices stay sparse by default, and an operation
 whose pointwise function does not map all-zeros to zero gets explicitly
 densified inputs. The loop passes run on plans. Loop states that fold
 an aggregate over themselves plus a delta become persistent accumulation
 tables merged in place, which also makes the loop eligible for early
-fixpoint exit. Then every maximal subplan of a loop body that reads no
-loop state and not the loop index is hoisted (bare scans and constants
-stay): it stays in the body, shared by node identity, and the loop lists
-it so the engine evaluates it once before the first iteration.
+fixpoint exit. An in-place state whose addition is idempotent (bool,
+trop) and whose body is linear in it is marked semi-naive: its body then
+reads only the tuples the last merge changed (`_seminaive` states the
+condition and why it is sound). Then every maximal subplan of a loop
+body that reads no loop state and not the loop index is hoisted (bare
+scans and constants stay): it stays in the body, shared by node
+identity, and the loop lists it so the engine evaluates it once before
+the first iteration.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .core import (
 )
 from .errors import DenseLimitError
 from .plan import (
+    DENSE,
     PAggregate,
     PConstant,
     PJoin,
@@ -43,6 +48,7 @@ from .plan import (
     PMap,
     PScanArg,
     PScanDomain,
+    PTranspose,
     PUnion,
     PlanFunction,
     PlanNode,
@@ -50,7 +56,7 @@ from .plan import (
     finalize,
     rewrite,
 )
-from .semiring import SBin, SVar, fn_is_sparse_safe
+from .semiring import SBin, SemiringTag, SVar, fn_is_sparse_safe
 
 DEFAULT_DENSE_LIMIT = 50_000_000
 
@@ -301,14 +307,20 @@ def _rewrite_state_inplace(loop: PLoop, i: int) -> PLoop | None:
     if not rest:
         return None
     delta_src = rest[0] if len(rest) == 1 else PUnion(ty=body.ty, inputs=tuple(rest))
-    if (
-        isinstance(delta_src, PAggregate)
-        and delta_src.group_by == body.group_by
-        and delta_src.combine == body.combine
-        and body.label is None
+    if body.label is None and (
+        (
+            isinstance(delta_src, PAggregate)
+            and (delta_src.group_by, delta_src.combine) == (body.group_by, body.combine)
+        )
+        or (
+            isinstance(delta_src, PLoop)
+            and (body.group_by, body.combine) == ("rowcol", "add")
+        )
     ):
         # an aggregate's output already has unique keys under its grouping,
-        # so folding it again with the same combine is the identity
+        # and a loop's output is a relation with unique keys, so folding
+        # either again is the identity. The engine merges a delta with its
+        # aggregate's combine, and a loop's with add.
         delta = delta_src
     else:
         delta = PAggregate(
@@ -325,9 +337,92 @@ def _rewrite_state_inplace(loop: PLoop, i: int) -> PLoop | None:
     return replace(loop, bodies=tuple(bodies), inplace=tuple(inplace), fixpoint=True)
 
 
+# states whose addition is idempotent: bool or, trop min
+_IDEMPOTENT = (SemiringTag.BOOL, SemiringTag.TROP)
+
+
+def _is_product(val) -> bool:
+    """Whether a map computes vi * vj of two distinct value columns."""
+    return (
+        isinstance(val, SBin)
+        and val.op == "*"
+        and isinstance(val.lhs, SVar)
+        and isinstance(val.rhs, SVar)
+        and val.lhs.name != val.rhs.name
+    )
+
+
+def _linear(node: PlanNode, name: str, invariant) -> bool:
+    """Whether `node` is ⊕-linear in the state `name`, by a whitelist.
+
+    A scan of the state is linear. So are, over a linear input, a
+    transpose, an `Aggregate(rowcol, add)`, a map computing `vi * vj` with
+    no coordinate change or filter, and a matmul join whose other operand
+    is invariant. Casts are maps with other expressions, so the whole path
+    computes in the state's semiring.
+    """
+    if isinstance(node, PScanArg):
+        return node.name == name
+    if isinstance(node, PTranspose):
+        return _linear(node.input, name, invariant)
+    if isinstance(node, PAggregate):
+        grouping = (node.group_by, node.combine, node.label)
+        return grouping == ("rowcol", "add", None) and _linear(node.input, name, invariant)
+    if isinstance(node, PMap):
+        return (
+            node.coord is None
+            and node.filter is None
+            and node.label is None
+            and _is_product(node.val)
+            and _linear(node.input, name, invariant)
+        )
+    if isinstance(node, PJoin) and node.pattern == "matmul":
+        left, right = node.left, node.right
+        return (invariant(right) and _linear(left, name, invariant)) or (
+            invariant(left) and _linear(right, name, invariant)
+        )
+    return False
+
+
+def _seminaive(loop: PLoop, i: int) -> bool:
+    """Whether in-place state i may be evaluated semi-naively.
+
+    Semi-naive evaluation binds the state's name, in the bodies, to the
+    change set of its last merge (to the init in the first iteration)
+    instead of the whole state. It applies when the state is merged in
+    place with `add`, is not DENSE, has an idempotent ⊕ (BOOL or TROP),
+    and its body f is ⊕-linear in it (see `_linear`) and reads no other
+    loop state and not the loop index; and no other body reads the state.
+
+    Soundness: let Δ be the change set of the last merge, so the state is
+    v = v' ⊕ Δ with v' the state before it, and v = v' ⊕ f(v') by
+    induction. Then f(v) = f(v') ⊕ f(Δ) by linearity, and v ⊕ f(v') = v by
+    idempotence, so v ⊕ f(v) = v ⊕ f(Δ). The loop reaches the same states
+    in the same number of iterations, and the fixpoint exit (an empty
+    change set) comes on the same iteration.
+    """
+    name, init = loop.states[i]
+    body = loop.bodies[i]
+    if not loop.inplace[i] or init.ty.sr not in _IDEMPOTENT:
+        return False
+    if DENSE in (init.mark, body.mark):
+        return False
+    if any(_references(b, {name}, {}) for j, b in enumerate(loop.bodies) if j != i):
+        return False
+    # an operand is invariant when it reads no loop state and not the index;
+    # every other leaf fails `_linear`, so a linear body reads no other
+    # state. `_linear` admits only `add` aggregates: an `argmin_col` merge
+    # never qualifies.
+    bound = {n for n, _ in loop.states} | ({loop.index_name} - {None})
+    memo: dict[int, bool] = {}
+    invariant = lambda node: not _references(node, bound, memo)
+    return _linear(body, name, invariant)
+
+
 def inplace_agg_pass(pf: PlanFunction) -> PlanFunction:
-    """Turn self-accumulating loop states into in-place merges and enable
-    fixpoint early exit on the rewritten loops."""
+    """Turn self-accumulating loop states into in-place merges, enable
+    fixpoint early exit on the rewritten loops, and mark the in-place
+    states that qualify for semi-naive evaluation (`_seminaive`)."""
 
     def fn(node: PlanNode) -> PlanNode | None:
         if not isinstance(node, PLoop):
@@ -345,7 +440,8 @@ def inplace_agg_pass(pf: PlanFunction) -> PlanFunction:
             out = _rewrite_state_inplace(loop, i)
             if out is not None:
                 loop = out
-        return loop
+        seminaive = tuple(_seminaive(loop, i) for i in range(len(loop.states)))
+        return replace(loop, seminaive=seminaive)
 
     root = rewrite(pf.root, fn)
     out = PlanFunction(

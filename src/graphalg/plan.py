@@ -135,6 +135,10 @@ class PLoop(PlanNode):
     fixpoint: bool = False
     # per-state: body merges a delta into a persistent accumulation table
     inplace: tuple = ()
+    # per-state: the bodies read the state's change set from the last merge
+    # instead of the whole state (semi-naive evaluation; see
+    # optimizer._seminaive for the soundness condition)
+    seminaive: tuple = ()
     # loop-invariant subplans evaluated once before the first iteration:
     # (name, node), where node is the same object the bodies read
     hoisted: tuple = ()
@@ -386,7 +390,10 @@ def _describe(node: PlanNode, pf: PlanFunction) -> str:
     if isinstance(node, PLoop):
         names = ",".join(n for n, _ in node.states)
         inplace = ",".join(n for (n, _), f in zip(node.states, node.inplace) if f)
-        extra = f" inplace={inplace}" if inplace else ""
+        delta = ",".join(n for (n, _), f in zip(node.states, node.seminaive) if f)
+        extra = (f" inplace={inplace}" if inplace else "") + (
+            f" delta={delta}" if delta else ""
+        )
         return (
             f"#{nid} Loop(bound={node.bound}, states=[{names}], "
             f"fixpoint={'on' if node.fixpoint else 'off'}{extra})"

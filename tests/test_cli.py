@@ -102,6 +102,8 @@ class TestRun:
         assert code == 0
         out = capsys.readouterr().out
         assert "Loop(" in out
+        # reach's state is evaluated semi-naively
+        assert "inplace=v$0 delta=v$0" in out
 
     def test_stats_emitted(self, program_file, graph_files, tmp_path, capsys):
         v, e = graph_files
@@ -161,6 +163,16 @@ class TestRun:
         code, err = run_cli("run", pr, "--vertices", v, "--edges", e, "--damping", "nan")
         assert code == 1
         assert "--damping" in err and "Traceback" not in err
+
+    def test_negative_dense_limit_is_usage_error(self, program_file, graph_files):
+        v, e = graph_files
+        code, err = run_cli(
+            "run", program_file, "--vertices", v, "--edges", e, "--source", "10",
+            "--dense-limit", "-5",
+        )
+        assert code == 1
+        assert err.splitlines() == ["--dense-limit must be non-negative, got -5"]
+        assert "Traceback" not in err
 
     def test_missing_edge_file_is_load_error(self, program_file, graph_files, tmp_path):
         v, _ = graph_files

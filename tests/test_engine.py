@@ -27,7 +27,7 @@ from graphalg.errors import (
     EngineError,
 )
 from graphalg.harness import make_graph_input, source_vector
-from graphalg.plan import PJoin, PLoop, PlanFunction, finalize
+from graphalg.plan import PAggregate, PJoin, PLoop, PlanFunction, finalize
 from graphalg.semiring import SemiringTag, ZERO_PAYLOAD
 
 B, I, R, T = SemiringTag.BOOL, SemiringTag.INT, SemiringTag.REAL, SemiringTag.TROP
@@ -224,19 +224,21 @@ func f(v: Vector<s, int>, w: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, 
         g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, -1)])
         for level in (1, 2):
             pf = compile_source(text, opt_level=level).plan_for("f")
-            # at level 2 the hoisted node is the in-place delta over the loop
+            # at level 2 the inner loop is also the in-place delta of v
             ((_, hoisted),) = pf.root.hoisted
-            assert isinstance(hoisted if level == 1 else hoisted.input, PLoop)
+            assert isinstance(hoisted, PLoop)
             names = [n for node in pf.nodes if isinstance(node, PLoop) for n, _ in node.hoisted]
             assert len(names) == len(set(names)) == 2
             _, stats = execute(pf, CallBinding(args={"v": v, "w": w, "G": g}))
             assert sum(stats.loop_iterations.values()) == 2 + 3
             if level == 2:
-                # v += u: the in-place delta over the invariant u is hoisted
-                # with it, so it folds once per call, not once per iteration
+                # v += u: the loop's output is already a canonical relation,
+                # so the merge reads it unwrapped, and it runs once per call
                 (delta,) = pf.root.bodies
-                assert any(p is delta for _, p in pf.root.hoisted)
-                assert stats.aggregations_executed[pf.node_id(delta)] == 1
+                assert delta is hoisted
+                assert not any(
+                    isinstance(n, PAggregate) and n.input is hoisted for n in pf.nodes
+                )
         self._differential(text, "f", {"v": v, "w": w, "G": g}, {"s": 3})
 
     def test_outer_invariant_part_of_inner_loop_hoisted(self):
@@ -358,43 +360,90 @@ func f(v: Vector<s, int>) -> Vector<s, int> {
             run_source(text, "f", CallBinding(args={"v": v}, dims={"k": -5}))
 
 
+def _random_vector_dict(rng: random.Random, sr: SemiringTag, n: int) -> dict:
+    rows = rng.sample(range(n), rng.randint(0, n))
+    pick = {
+        B: lambda: True,
+        I: lambda: rng.randint(-2, 2),
+        R: lambda: rng.choice([-1.5, 0.5, 1.5, 2.0]),
+        T: lambda: rng.choice([0.0, 1.0, 2.5, 4.0]),
+    }[sr]
+    return {r: pick() for r in rows}
+
+
 class TestMerge:
+    """`merge_in_place` returns the merged state and its change set: the
+    tuples whose key is new or whose value changed, with merged values."""
+
     def test_trop_min_merge(self):
-        state = MatrixRelation.from_tuples(T, 4, 1, [(1, 0, 5.0)])
-        delta = MatrixRelation.from_tuples(T, 4, 1, [(1, 0, 3.0), (2, 0, 9.0)])
-        merged, changed = merge_in_place(state, delta)
-        assert changed
-        assert merged.to_dict() == {(1, 0): 3.0, (2, 0): 9.0}
+        state = MatrixRelation.from_tuples(T, 4, 1, [(1, 0, 5.0), (3, 0, 1.0)])
+        delta = MatrixRelation.from_tuples(
+            T, 4, 1, [(1, 0, 3.0), (2, 0, 9.0), (3, 0, 4.0)]
+        )
+        merged, change = merge_in_place(state, delta)
+        assert merged.to_dict() == {(1, 0): 3.0, (2, 0): 9.0, (3, 0): 1.0}
+        assert change.to_dict() == {(1, 0): 3.0, (2, 0): 9.0}
+        assert_canonical(merged)
+        assert_canonical(change)
 
     def test_empty_delta_no_change(self):
         state = MatrixRelation.from_tuples(T, 4, 1, [(1, 0, 5.0)])
-        merged, changed = merge_in_place(state, MatrixRelation.empty(T, 4, 1))
-        assert not changed
+        merged, change = merge_in_place(state, MatrixRelation.empty(T, 4, 1))
+        assert len(change) == 0 and change.shape == (4, 1)
         assert merged.to_dict() == state.to_dict()
 
     def test_bool_idempotent(self):
-        state = MatrixRelation.from_tuples(B, 4, 1, [(1, 0, True)])
-        delta = MatrixRelation.from_tuples(B, 4, 1, [(1, 0, True)])
-        merged, changed = merge_in_place(state, delta)
-        assert not changed
-        assert merged.to_dict() == {(1, 0): True}
+        state = MatrixRelation.from_tuples(B, 4, 1, [(1, 0, True), (2, 0, True)])
+        merged, change = merge_in_place(state, state)
+        assert len(change) == 0
+        assert merged.to_dict() == {(1, 0): True, (2, 0): True}
 
     def test_int_sum_to_zero_drops_entry(self):
-        state = MatrixRelation.from_tuples(I, 2, 1, [(0, 0, 3)])
-        delta = MatrixRelation.from_tuples(I, 2, 1, [(0, 0, -3)])
-        merged, changed = merge_in_place(state, delta)
-        assert changed
-        assert len(merged) == 0
+        state = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 3), (2, 0, 1)])
+        delta = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, -3), (1, 0, 4)])
+        merged, change = merge_in_place(state, delta)
+        assert merged.to_dict() == {(1, 0): 4, (2, 0): 1}
+        assert_canonical(merged)
+        # the cancelled key is a change; its entry holds the identity
+        assert change.to_dict() == {(0, 0): 0, (1, 0): 4}
+
+    def test_random_merges_match_dict_reference(self):
+        rng = random.Random(5)
+        for sr in (B, I, R, T):
+            for _ in range(50):
+                state_d = _random_vector_dict(rng, sr, 30)
+                delta_d = _random_vector_dict(rng, sr, 30)
+                state = MatrixRelation.from_tuples(
+                    sr, 30, 1, [(r, 0, v) for r, v in state_d.items()]
+                )
+                delta = MatrixRelation.from_tuples(
+                    sr, 30, 1, [(r, 0, v) for r, v in delta_d.items()]
+                )
+                merged, change = merge_in_place(state, delta)
+                assert_canonical(merged)
+                expect = dict(state.to_dict())
+                for key, v in delta.to_dict().items():
+                    if key in expect:
+                        v = {B: expect[key] or v, I: expect[key] + v,
+                             R: expect[key] + v, T: min(expect[key], v)}[sr]
+                    expect[key] = v
+                zero = ZERO_PAYLOAD[sr]
+                assert merged.to_dict() == {k: v for k, v in expect.items() if v != zero}
+                changed = {
+                    k: expect[k] for k in delta.to_dict()
+                    if state.to_dict().get(k, zero) != expect[k]
+                }
+                assert change.to_dict() == changed
 
     def test_argmin_col_keeps_first_column_per_row(self):
         state = MatrixRelation.from_tuples(I, 3, 4, [(0, 2, 7), (1, 1, 4)])
         delta = MatrixRelation.from_tuples(I, 3, 4, [(0, 1, 8), (1, 1, 9), (2, 3, 5)])
-        merged, changed = merge_in_place(state, delta, "argmin_col")
-        assert changed
+        merged, change = merge_in_place(state, delta, "argmin_col")
         # a smaller column replaces row 0; the existing tuple wins the tie in row 1
         assert merged.to_dict() == {(0, 1): 8, (1, 1): 4, (2, 3): 5}
-        again, changed = merge_in_place(merged, merged, "argmin_col")
-        assert not changed and again.to_dict() == merged.to_dict()
+        assert change.to_dict() == {(0, 1): 8, (2, 3): 5}
+        again, change = merge_in_place(merged, merged, "argmin_col")
+        assert len(change) == 0 and again.to_dict() == merged.to_dict()
 
     def test_shape_mismatch_rejected(self):
         a = MatrixRelation.empty(T, 2, 1)
