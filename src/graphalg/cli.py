@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .api import Compiled, compile_source
@@ -113,14 +114,7 @@ def attach_preprocess(
             return preprocess_fragment(node, drop_self_loops, dedup_edges)
         return None
 
-    out = PlanFunction(
-        name=pf.name,
-        params=list(pf.params),
-        root=rewrite(pf.root, fn),
-        free_dim_symbols=list(pf.free_dim_symbols),
-    )
-    finalize(out)
-    return out
+    return finalize(replace(pf, root=rewrite(pf.root, fn)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +201,19 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         compiled = compile_source(
             text, origin=ns.program, opt_level=ns.opt_level, dense_limit=ns.dense_limit
         )
-        func = ns.func or _only_function(compiled)
+    except GraphAlgError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_COMPILE
+    names = list(compiled.raw_plans)
+    func = ns.func or (names[0] if len(names) == 1 else None)
+    if func not in names:
+        problem = f"unknown function {func!r}" if func else "no --func given"
+        print(
+            f"{problem}: program declares {', '.join(names)}; choose one with --func",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    try:
         pf = compiled.plan_for(
             func,
             transform=lambda p: attach_preprocess(
@@ -280,13 +286,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 def _executes(ns: argparse.Namespace) -> bool:
     """Whether ``run`` executes the program, which needs the graph files."""
     return ns.output is not None or ns.stats or not (ns.dump_core or ns.dump_plan)
-
-
-def _only_function(compiled: Compiled) -> str:
-    names = list(compiled.raw_plans)
-    if len(names) == 1:
-        return names[0]
-    raise BindingError(f"program declares {names}; choose one with --func")
 
 
 def _graph_param_name(compiled: Compiled, func: str) -> str:

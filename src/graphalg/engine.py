@@ -11,12 +11,13 @@ The Loop operator evaluates its hoisted subplans once, then one body
 subplan per state variable against the previous iteration's states, and
 commits all states at once. Each iteration starts from a memo that holds
 the hoisted values, so the bodies read them instead of recomputing. States
-rewritten for in-place aggregation keep a persistent table and merge each
-iteration's delta into it; the merge also returns the change set, and when
-fixpoint checking is enabled, an iteration whose merges change nothing
-terminates the loop early. A state marked semi-naive is read by its body
-as that change set (the init in the first iteration), not as the whole
-table; the loop still observes and returns the whole states.
+rewritten for in-place aggregation keep a persistent table and add each
+iteration's delta into it (`merge_in_place`); the merge also returns the
+change set, and when fixpoint checking is enabled, an iteration whose
+merges change nothing terminates the loop early. A state marked
+semi-naive is read by its body as that change set (the init in the first
+iteration), not as the whole table; the loop still observes and returns
+the whole states.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .plan import (
     PScanArg,
     PScanDomain,
     PTranspose,
-    PUnion,
     PlanFunction,
     PlanNode,
 )
@@ -345,9 +345,9 @@ def _find(skey: np.ndarray, qkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def merge_in_place(
-    state: MatrixRelation, delta: MatrixRelation, combine: str = "add"
+    state: MatrixRelation, delta: MatrixRelation
 ) -> tuple[MatrixRelation, MatrixRelation]:
-    """Fold a delta into an accumulation table.
+    """Add a delta into an accumulation table.
 
     Returns the merged relation and its change set: the tuples whose key is
     new to the state or whose value the merge changed bitwise, holding
@@ -355,7 +355,7 @@ def merge_in_place(
     state and its change-set entry holds the identity. The change set is
     empty exactly when the merged relation equals the state, which drives
     fixpoint detection, and it is sorted with unique keys. The existing
-    state value is always the left operand of the combine.
+    state value is always the left operand of the addition.
     """
     if state.shape != delta.shape or state.sr is not delta.sr:
         raise EngineError("merge_in_place: shape or semiring mismatch")
@@ -363,29 +363,7 @@ def merge_in_place(
     empty = MatrixRelation.empty(sr, state.nrows, state.ncols)
     if len(delta) == 0:
         return state, empty
-    skey = state.keys()
-
-    if combine == "argmin_col":
-        # state before delta, so an existing tuple wins a tie on its key
-        out = first_per_row(
-            sr,
-            state.nrows,
-            state.ncols,
-            np.concatenate([state.rows, delta.rows]),
-            np.concatenate([state.cols, delta.cols]),
-            np.concatenate([state.vals, delta.vals]),
-        )
-        # each row keeps one tuple, so a row that changed has a new tuple
-        pos, hit = _find(skey, out.keys())
-        change = ~hit
-        change[hit] = _bits(out.vals[hit]) != _bits(state.vals[pos[hit]])
-        return out, MatrixRelation(
-            sr, out.nrows, out.ncols, out.rows[change], out.cols[change], out.vals[change]
-        )
-    if combine != "add":
-        raise EngineError(f"unknown combine kind {combine!r}")
-
-    pos, hit = _find(skey, delta.keys())
+    pos, hit = _find(state.keys(), delta.keys())
     at = pos[hit]
     merged = delta.vals.copy()
     merged[hit] = vadd(sr, state.vals[at], delta.vals[hit])
@@ -560,18 +538,6 @@ class Executor:
             return self._eval_join(node, env, memo)
         if isinstance(node, PAggregate):
             return self._eval_aggregate(node, env, memo)
-        if isinstance(node, PUnion):
-            parts = [_as_table(self.eval(p, env, memo)) for p in node.inputs]
-            nr, nc = self.shape(node)
-            return TupleTable(
-                nr,
-                nc,
-                np.concatenate([p.rows for p in parts]) if parts else np.empty(0, np.int64),
-                np.concatenate([p.cols for p in parts]) if parts else np.empty(0, np.int64),
-                [np.concatenate([p.vals[0] for p in parts])],
-                [node.ty.sr],
-                unique=False,
-            )
         if isinstance(node, PLoop):
             return self._eval_loop(node, env, memo)
         raise EngineError(f"cannot evaluate node {type(node).__name__}")
@@ -722,16 +688,6 @@ class Executor:
         if node.combine == "argmin_col":
             return first_per_row(sr, nr, nc, rows, cols, vals)
 
-        if node.group_by == "none":
-            if len(rows) == 0:
-                return MatrixRelation.empty(sr, nr, nc)
-            stride = np.int64(max(src.ncols, 1))
-            order = np.argsort(rows * stride + cols, kind="stable")
-            folded = vadd_reduceat(sr, vals[order], np.array([0]))
-            return canonicalize(
-                sr, nr, nc, np.zeros(1, np.int64), np.zeros(1, np.int64), folded
-            )
-
         # group by (row, col)
         if len(rows) == 0:
             return MatrixRelation.empty(sr, nr, nc)
@@ -781,12 +737,7 @@ class Executor:
             changed_any = False
             for i, name in enumerate(names):
                 if node.inplace[i]:
-                    combine = (
-                        node.bodies[i].combine
-                        if isinstance(node.bodies[i], PAggregate)
-                        else "add"
-                    )
-                    merged, change = merge_in_place(states[name], results[i], combine)
+                    merged, change = merge_in_place(states[name], results[i])
                     if self.options.debug_checks:
                         assert_canonical(merged)
                     states[name] = merged

@@ -109,9 +109,13 @@ def source_vector(n: int, src: int, sr: SemiringTag) -> MatrixRelation:
 
 
 def identity_labels(n: int) -> MatrixRelation:
-    """Label vector assigning each vertex its own index."""
-    return MatrixRelation.from_tuples(
-        SemiringTag.TROP, n, 1, [(i, 0, float(i)) for i in range(n)]
+    """Label vector assigning each vertex its own index.
+
+    Label 0 is trop's one, not its identity, so every vertex keeps a tuple
+    and the arrays are already canonical."""
+    rows = np.arange(n, dtype=np.int64)
+    return MatrixRelation(
+        SemiringTag.TROP, n, 1, rows, np.zeros(n, np.int64), rows.astype(np.float64)
     )
 
 

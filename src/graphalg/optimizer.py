@@ -3,13 +3,13 @@ aggregation with fixpoint enabling and semi-naive evaluation.
 
 Sparsity runs on Core: matrices stay sparse by default, and an operation
 whose pointwise function does not map all-zeros to zero gets explicitly
-densified inputs. The loop passes run on plans. Loop states that fold
-an aggregate over themselves plus a delta become persistent accumulation
-tables merged in place, which also makes the loop eligible for early
-fixpoint exit. An in-place state whose addition is idempotent (bool,
-trop) and whose body is linear in it is marked semi-naive: its body then
-reads only the tuples the last merge changed (`_seminaive` states the
-condition and why it is sound). Then every maximal subplan of a loop
+densified inputs. The loop passes run on plans. A loop state updated as
+`v + d` (`v += d`) becomes a persistent accumulation table that the
+engine adds d to in place (`_rewrite_state_inplace`), which also makes
+the loop eligible for early fixpoint exit. An in-place state whose
+addition is idempotent (bool, trop) and whose body is linear in it is
+marked semi-naive: its body then reads only the tuples the last merge
+changed (`_seminaive` states the condition and why it is sound). Then every maximal subplan of a loop
 body that reads no loop state and not the loop index is hoisted (bare
 scans and constants stay): it stays in the body, shared by node
 identity, and the loop lists it so the engine evaluates it once before
@@ -49,7 +49,6 @@ from .plan import (
     PScanArg,
     PScanDomain,
     PTranspose,
-    PUnion,
     PlanFunction,
     PlanNode,
     children,
@@ -243,15 +242,7 @@ def licm_pass(pf: PlanFunction) -> PlanFunction:
             return _hoist_loop(node, names)
         return None
 
-    root = rewrite(pf.root, fn)
-    out = PlanFunction(
-        name=pf.name,
-        params=list(pf.params),
-        root=root,
-        free_dim_symbols=list(pf.free_dim_symbols),
-    )
-    finalize(out)
-    return out
+    return finalize(replace(pf, root=rewrite(pf.root, fn)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,77 +250,36 @@ def licm_pass(pf: PlanFunction) -> PlanFunction:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_apply_add(body: PlanNode) -> PlanNode:
-    """Rewrite map(outer-join, a + b) as aggregate(union) so the in-place
-    pattern can see plain accumulations like `v = or(v, step)`."""
-    if not isinstance(body, PMap) or body.coord or body.filter:
-        return body
-    join = body.input
-    if not isinstance(join, PJoin) or join.pattern != "pointwise":
-        return body
-    if len(join.val_tags) != 2:
-        return body
-    val = body.val
-    if not (
-        isinstance(val, SBin)
-        and val.op == "+"
-        and isinstance(val.lhs, SVar)
-        and isinstance(val.rhs, SVar)
-        and val.lhs.name == "v0"
-        and val.rhs.name == "v1"
-    ):
-        return body
-    union = PUnion(ty=body.ty, inputs=(join.left, join.right))
-    return PAggregate(ty=body.ty, input=union, group_by="rowcol", combine="add")
-
-
-def _flatten_union(node: PlanNode) -> list[PlanNode]:
-    if isinstance(node, PUnion):
-        out: list[PlanNode] = []
-        for sub in node.inputs:
-            out.extend(_flatten_union(sub))
-        return out
-    return [node]
-
-
 def _rewrite_state_inplace(loop: PLoop, i: int) -> PLoop | None:
+    """Merge state i in place when its body is `v + d`.
+
+    That is the plan of `v += d` and `v = v + d`: a map computing `v0 + v1`
+    over a pointwise join of two single-column relations, exactly one of
+    which scans the state. The body becomes the delta d, which the engine
+    adds to the persistent state (the outer join pads a missing side with
+    the identity, which is what the merge does too). An aggregate or a
+    loop already yields a relation with unique keys and is merged as is;
+    any other delta is folded by `Aggregate(rowcol, add)` first.
+    """
     name = loop.states[i][0]
-    body = _normalize_apply_add(loop.bodies[i])
-    if not isinstance(body, PAggregate) or body.combine not in ("add", "argmin_col"):
+    body = loop.bodies[i]
+    if not isinstance(body, PMap) or body.coord or body.filter:
         return None
-    parts = _flatten_union(body.input)
-    self_refs = [
-        p for p in parts if isinstance(p, PScanArg) and p.name == name
-    ]
-    if len(self_refs) != 1:
-        return None
-    rest = [p for p in parts if p is not self_refs[0]]
-    if not rest:
-        return None
-    delta_src = rest[0] if len(rest) == 1 else PUnion(ty=body.ty, inputs=tuple(rest))
-    if body.label is None and (
-        (
-            isinstance(delta_src, PAggregate)
-            and (delta_src.group_by, delta_src.combine) == (body.group_by, body.combine)
-        )
-        or (
-            isinstance(delta_src, PLoop)
-            and (body.group_by, body.combine) == ("rowcol", "add")
-        )
+    join = body.input
+    if not (
+        isinstance(join, PJoin)
+        and join.pattern == "pointwise"
+        and len(join.val_tags) == 2
+        and body.val == SBin("+", SVar("v0"), SVar("v1"))
     ):
-        # an aggregate's output already has unique keys under its grouping,
-        # and a loop's output is a relation with unique keys, so folding
-        # either again is the identity. The engine merges a delta with its
-        # aggregate's combine, and a loop's with add.
-        delta = delta_src
-    else:
-        delta = PAggregate(
-            ty=body.ty,
-            input=delta_src,
-            group_by=body.group_by,
-            combine=body.combine,
-            label=body.label,
-        )
+        return None
+    sides = (join.left, join.right)
+    scans = [isinstance(p, PScanArg) and p.name == name for p in sides]
+    if scans.count(True) != 1:
+        return None
+    delta = sides[scans.index(False)]
+    if not isinstance(delta, (PAggregate, PLoop)):
+        delta = PAggregate(ty=body.ty, input=delta, group_by="rowcol", combine="add")
     bodies = list(loop.bodies)
     bodies[i] = delta
     inplace = list(loop.inplace)
@@ -390,8 +340,8 @@ def _seminaive(loop: PLoop, i: int) -> bool:
     Semi-naive evaluation binds the state's name, in the bodies, to the
     change set of its last merge (to the init in the first iteration)
     instead of the whole state. It applies when the state is merged in
-    place with `add`, is not DENSE, has an idempotent ⊕ (BOOL or TROP),
-    and its body f is ⊕-linear in it (see `_linear`) and reads no other
+    place, is not DENSE, has an idempotent ⊕ (BOOL or TROP), and its
+    body f is ⊕-linear in it (see `_linear`) and reads no other
     loop state and not the loop index; and no other body reads the state.
 
     Soundness: let Δ be the change set of the last merge, so the state is
@@ -411,8 +361,8 @@ def _seminaive(loop: PLoop, i: int) -> bool:
         return False
     # an operand is invariant when it reads no loop state and not the index;
     # every other leaf fails `_linear`, so a linear body reads no other
-    # state. `_linear` admits only `add` aggregates: an `argmin_col` merge
-    # never qualifies.
+    # state. `_linear` admits only `add` aggregates: a `pickAny` delta
+    # (`argmin_col`) never qualifies.
     bound = {n for n, _ in loop.states} | ({loop.index_name} - {None})
     memo: dict[int, bool] = {}
     invariant = lambda node: not _references(node, bound, memo)
@@ -443,15 +393,7 @@ def inplace_agg_pass(pf: PlanFunction) -> PlanFunction:
         seminaive = tuple(_seminaive(loop, i) for i in range(len(loop.states)))
         return replace(loop, seminaive=seminaive)
 
-    root = rewrite(pf.root, fn)
-    out = PlanFunction(
-        name=pf.name,
-        params=list(pf.params),
-        root=root,
-        free_dim_symbols=list(pf.free_dim_symbols),
-    )
-    finalize(out)
-    return out
+    return finalize(replace(pf, root=rewrite(pf.root, fn)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,5 +407,4 @@ def optimize_plan(pf: PlanFunction, level: int) -> PlanFunction:
         pf = inplace_agg_pass(pf)
     if level >= 1:
         pf = licm_pass(pf)
-    finalize(pf)
     return pf

@@ -4,7 +4,8 @@ Core compiles to a DAG of plan nodes. Matrix multiplication becomes
 join + map + aggregate, pointwise application becomes an n-way outer join
 with identity padding followed by a map, and bounded loops become a Loop
 node carrying named state relations, one body subplan per state, and a
-single output (the first state).
+single output (the first state). Equal subplans are one node: `share`
+merges them after translation.
 
 Join patterns fix the attribute plumbing:
 
@@ -17,8 +18,9 @@ Join patterns fix the attribute plumbing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+import struct
+from dataclasses import dataclass, field, is_dataclass, replace
+from typing import Optional
 
 from . import ast as A
 from .core import (
@@ -79,22 +81,26 @@ class PConstant(PlanNode):
     """A relation literal; currently always the empty relation."""
 
 
+# join pattern -> join kind
+JOIN_KINDS = {
+    "matmul": "inner",
+    "cross": "inner",
+    "pointwise": "outer-pad",
+    "pad": "left-outer-pad",
+}
+
+
 @dataclass(frozen=True, eq=False)
 class PJoin(PlanNode):
     left: PlanNode = None
     right: PlanNode = None
-    pattern: str = "pointwise"  # matmul | pointwise | pad | cross
+    pattern: str = "pointwise"  # a key of JOIN_KINDS
     # value columns flowing out of the join, leftmost first
     val_tags: tuple = ()
 
     @property
     def kind(self) -> str:
-        return {
-            "matmul": "inner",
-            "cross": "inner",
-            "pointwise": "outer-pad",
-            "pad": "left-outer-pad",
-        }[self.pattern]
+        return JOIN_KINDS[self.pattern]
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +117,9 @@ class PMap(PlanNode):
 @dataclass(frozen=True, eq=False)
 class PAggregate(PlanNode):
     input: PlanNode = None
-    group_by: str = "rowcol"  # rowcol | row | none
+    group_by: str = "rowcol"  # rowcol | row
     combine: str = "add"  # add | argmin_col
     label: Optional[str] = None
-
-
-@dataclass(frozen=True, eq=False)
-class PUnion(PlanNode):
-    inputs: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +174,6 @@ def children(node: PlanNode) -> tuple[PlanNode, ...]:
         return (node.input,)
     if isinstance(node, PTranspose):
         return (node.input,)
-    if isinstance(node, PUnion):
-        return node.inputs
     if isinstance(node, PLoop):
         return (
             tuple(p for _, p in node.hoisted)
@@ -314,8 +313,7 @@ class _Compiler:
 
 def compile_function(fn: CoreFunction) -> PlanFunction:
     """Translate one Core function into a plan DAG."""
-    compiler = _Compiler()
-    root = compiler.plan(fn.expr)
+    root = share(_Compiler().plan(fn.expr))
     pf = PlanFunction(
         name=fn.name,
         params=list(fn.params),
@@ -383,8 +381,6 @@ def _describe(node: PlanNode, pf: PlanFunction) -> str:
             f"#{nid} Aggregate({node.group_by}, {node.combine}){label}"
             f"[{shape}:{node.ty.sr}, {node.mark}]"
         )
-    if isinstance(node, PUnion):
-        return f"#{nid} Union({len(node.inputs)})[{shape}, {node.mark}]"
     if isinstance(node, PTranspose):
         return f"#{nid} Transpose[{shape}, {node.mark}]"
     if isinstance(node, PLoop):
@@ -462,8 +458,6 @@ def _with_children(n: PlanNode, new: tuple) -> PlanNode:
         return replace(n, input=new[0])
     if isinstance(n, PTranspose):
         return replace(n, input=new[0])
-    if isinstance(n, PUnion):
-        return replace(n, inputs=new)
     if isinstance(n, PLoop):
         nh = len(n.hoisted)
         ns = len(n.states)
@@ -472,3 +466,39 @@ def _with_children(n: PlanNode, new: tuple) -> PlanNode:
         bodies = tuple(new[nh + ns :])
         return replace(n, hoisted=hoisted, states=states, bodies=bodies)
     return n
+
+
+def _key(v):
+    """A hashable key for a field value: plan nodes by identity, floats by
+    bit pattern, tuples and dataclasses by their parts."""
+    if isinstance(v, PlanNode):
+        return id(v)
+    if isinstance(v, float):
+        return (float, struct.pack("<d", v))
+    if isinstance(v, tuple):
+        return tuple(map(_key, v))
+    if is_dataclass(v):
+        return _fields_key(v)
+    return (type(v), v)
+
+
+def _fields_key(v) -> tuple:
+    return (type(v),) + tuple(map(_key, vars(v).values()))
+
+
+def share(root: PlanNode) -> PlanNode:
+    """Merge equal subplans into one node (common subexpressions).
+
+    Bottom up, two nodes are merged when they have the same type, the same
+    children by identity and equal other fields, marks and labels included;
+    float literals compare by bit pattern, so `0.0` and `-0.0` stay apart.
+    Soundness: plan nodes are pure and deterministic, so equal nodes over
+    the same children compute the same relation in the same environment.
+    And a scan reads the same binding wherever it occurs, because loop
+    state and index names are unique: lowering gives every loop fresh
+    names, and the per-state copies of one loop bind them to the same
+    values. The engine memoizes by node, so a shared node runs once per
+    scope (per call, or per loop iteration).
+    """
+    table: dict[tuple, PlanNode] = {}
+    return rewrite(root, lambda node: table.setdefault(_fields_key(node), node))

@@ -10,8 +10,8 @@ import pytest
 
 import graphalg
 from graphalg.cli import main, preprocess_fragment
-from graphalg.engine import CallBinding, ExecOptions, execute
-from graphalg.harness import make_graph_input, oracle_check
+from graphalg.engine import CallBinding, ExecOptions, MatrixRelation, execute, rel_equal
+from graphalg.harness import identity_labels, make_graph_input, oracle_check
 from graphalg.plan import (
     PAggregate,
     PMap,
@@ -220,6 +220,29 @@ class TestRun:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"cannot write {out}: ")
 
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_unknown_function_is_usage_error(self, program_file, graph_files, dump):
+        v, e = graph_files
+        extra = ["--dump-plan"] if dump else ["--vertices", v, "--edges", e, "--source", "10"]
+        code, err = run_cli("run", program_file, "--func", "nope", *extra)
+        assert code == 1
+        assert err.splitlines() == [
+            "unknown function 'nope': program declares reach; choose one with --func"
+        ]
+
+    def test_several_functions_need_func(self, tmp_path, graph_files):
+        v, e = graph_files
+        program = tmp_path / "two.gr"
+        program.write_text(REACH + REACH.replace("func reach", "func reach2"))
+        args = ("run", program, "--vertices", v, "--edges", e, "--source", "10")
+        code, err = run_cli(*args)
+        assert code == 1
+        assert err.splitlines() == [
+            "no --func given: program declares reach, reach2; choose one with --func"
+        ]
+        code, err = run_cli(*args, "--func", "reach2")
+        assert (code, err) == (0, "")
+
     def test_pagerank_with_sink_sums_to_one(self, tmp_path):
         program = str(res.files("graphalg.stdlib").joinpath("pr.gr"))
         v = tmp_path / "g.v"
@@ -308,6 +331,16 @@ class TestOracleHarness:
         graph = make_graph_input(4, [(0, 1)], "bool")
         report = oracle_check("bfs", graph, source=0)
         assert report.passed, report.mismatches
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_identity_labels_equal_the_tuple_form(self, n):
+        ref = MatrixRelation.from_tuples(
+            SemiringTag.TROP, n, 1, [(i, 0, float(i)) for i in range(n)]
+        )
+        out = identity_labels(n)
+        assert rel_equal(out, ref) and out.dense == ref.dense
+        for got, want in ((out.rows, ref.rows), (out.cols, ref.cols), (out.vals, ref.vals)):
+            assert got.dtype == want.dtype
 
     def test_pr_single_vertex_scores_one(self):
         graph = make_graph_input(1, [], "bool")

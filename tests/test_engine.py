@@ -435,16 +435,6 @@ class TestMerge:
                 }
                 assert change.to_dict() == changed
 
-    def test_argmin_col_keeps_first_column_per_row(self):
-        state = MatrixRelation.from_tuples(I, 3, 4, [(0, 2, 7), (1, 1, 4)])
-        delta = MatrixRelation.from_tuples(I, 3, 4, [(0, 1, 8), (1, 1, 9), (2, 3, 5)])
-        merged, change = merge_in_place(state, delta, "argmin_col")
-        # a smaller column replaces row 0; the existing tuple wins the tie in row 1
-        assert merged.to_dict() == {(0, 1): 8, (1, 1): 4, (2, 3): 5}
-        assert change.to_dict() == {(0, 1): 8, (2, 3): 5}
-        again, change = merge_in_place(merged, merged, "argmin_col")
-        assert len(change) == 0 and again.to_dict() == merged.to_dict()
-
     def test_shape_mismatch_rejected(self):
         a = MatrixRelation.empty(T, 2, 1)
         b = MatrixRelation.empty(T, 3, 1)

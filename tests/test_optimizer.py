@@ -8,7 +8,6 @@ import pytest
 
 from genprog import gen_inputs, gen_program
 from reference import rel_canonical
-from graphalg import ast as A
 from graphalg import stdlib
 from graphalg.api import compile_source
 from graphalg.cli import attach_preprocess
@@ -32,7 +31,6 @@ from graphalg.optimizer import (
     MUST_BE_DENSE,
     _rewrite_state_inplace,
     _seminaive,
-    inplace_agg_pass,
     licm_pass,
     sparsity_annotation,
     sparsity_pass,
@@ -44,11 +42,9 @@ from graphalg.plan import (
     PConstant,
     PJoin,
     PLoop,
-    PMap,
     PScanArg,
     PScanDomain,
     PTranspose,
-    PUnion,
     PlanFunction,
     children,
     compile_program,
@@ -57,7 +53,7 @@ from graphalg.plan import (
     rewrite,
 )
 from graphalg.printer import pretty_print
-from graphalg.semiring import SBin, SemiringTag, SVar
+from graphalg.semiring import SemiringTag
 from graphalg.typecheck import check_program
 
 B, T, R, I = SemiringTag.BOOL, SemiringTag.TROP, SemiringTag.REAL, SemiringTag.INT
@@ -447,6 +443,40 @@ class TestInPlace:
         assert sum(stats.aggregations_executed.values()) == 1 + inner_iterations
         assert rel_equal(outs[0], outs[1]) and rel_equal(outs[0], outs[2])
 
+    def test_pick_any_delta_merged_as_is(self):
+        text = """
+func f(G: Matrix<s, s, bool>, M0: Matrix<s, s, bool>) -> Matrix<s, s, bool> {
+    M = M0;
+    for i in 0..s {
+        M += pickAny(M * G);
+    }
+    return M;
+}
+"""
+        pf = compile_source(text, opt_level=2).plan_for("f")
+        loop = pf.root
+        assert loop.inplace == (True,)
+        # an argmin_col aggregate is not ⊕-linear, however idempotent bool is
+        assert loop.seminaive == (False,)
+        (delta,) = loop.bodies
+        assert isinstance(delta, PAggregate)
+        assert (delta.group_by, delta.combine) == ("row", "argmin_col")
+        assert not any(isinstance(n, PAggregate) and n.input is delta for n in pf.nodes)
+        g = MatrixRelation.from_tuples(
+            B, 5, 5, [(0, 3, True), (3, 1, True), (1, 4, True), (4, 2, True), (2, 0, True)]
+        )
+        m0 = MatrixRelation.from_tuples(B, 5, 5, [(0, 0, True), (2, 2, True), (1, 0, True)])
+        outs = [
+            execute(
+                compile_source(text, opt_level=level).plan_for("f"),
+                CallBinding(args={"G": g, "M0": m0}),
+                ExecOptions(debug_checks=True),
+            )[0]
+            for level in (0, 1, 2)
+        ]
+        assert len(outs[0]) > len(m0)
+        assert rel_equal(outs[0], outs[1]) and rel_equal(outs[0], outs[2])
+
     def test_loop_without_self_accumulation_unchanged(self):
         compiled = compile_source(stdlib.source("pr"), opt_level=2)
         pf = compiled.plan_for("pagerank")
@@ -555,56 +585,6 @@ class TestSemiNaive:
             assert loop is not None
             assert _seminaive(loop, 0) is fires
         assert not _fires(compile_source(texts["i"], opt_level=2).plan_for("f"))
-
-    def test_not_on_an_argmin_merge(self):
-        vec = A.MatrixType(A.DimSym("s"), A.DimLit(1), B)
-        mat = A.MatrixType(A.DimSym("s"), A.DimSym("s"), B)
-        v = PScanArg(ty=vec, name="v")
-        step = PAggregate(
-            ty=vec,
-            input=PMap(
-                ty=vec,
-                input=PJoin(
-                    ty=vec,
-                    left=PTranspose(ty=mat, input=PScanArg(ty=mat, name="G")),
-                    right=v,
-                    pattern="matmul",
-                    val_tags=(B, B),
-                ),
-                val=SBin("*", SVar("v0"), SVar("v1")),
-            ),
-        )
-        body = PAggregate(
-            ty=vec,
-            input=PUnion(ty=vec, inputs=(v, step)),
-            group_by="row",
-            combine="argmin_col",
-        )
-        loop = PLoop(
-            ty=vec,
-            bound=A.DimSym("s"),
-            states=(("v", PScanArg(ty=vec, name="src")),),
-            bodies=(body,),
-            inplace=(False,),
-            seminaive=(False,),
-        )
-        pf = inplace_agg_pass(
-            finalize(PlanFunction("f", [("G", mat), ("src", vec)], loop))
-        )
-        assert pf.root.inplace == (True,)
-        assert pf.root.bodies[0].combine == "argmin_col"
-        assert pf.root.seminaive == (False,)
-        # the same loop with an add merge qualifies
-        pf = inplace_agg_pass(
-            finalize(
-                PlanFunction(
-                    "f",
-                    [("G", mat), ("src", vec)],
-                    replace(loop, bodies=(replace(body, group_by="rowcol", combine="add"),)),
-                )
-            )
-        )
-        assert pf.root.seminaive == (True,)
 
     def test_not_when_another_body_reads_the_state(self):
         text = """

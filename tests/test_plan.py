@@ -1,25 +1,38 @@
 """Core-to-plan translation and plan printing."""
 
+from dataclasses import replace
+
 import pytest
 
+from genprog import gen_inputs, gen_program
 from reference import canonical_equal, eval_core, rel_canonical, RefMat
 from graphalg import ast as A
+from graphalg import stdlib
 from graphalg.api import compile_source
+from graphalg.cli import attach_preprocess
 from graphalg.core import lower
-from graphalg.engine import CallBinding, ExecOptions, MatrixRelation, execute
+from graphalg.engine import CallBinding, ExecOptions, MatrixRelation, execute, rel_equal
+from graphalg.errors import ArithmeticOverflowError
 from graphalg.parser import parse
 from graphalg.plan import (
+    JOIN_KINDS,
     PAggregate,
     PConstant,
     PJoin,
     PLoop,
     PMap,
     PScanArg,
+    PlanFunction,
+    PlanNode,
+    _Compiler,
     compile_program,
+    finalize,
     pretty_plan,
+    share,
 )
-from graphalg.optimizer import _normalize_apply_add, sparsity_pass
-from graphalg.semiring import SemiringTag
+from graphalg.optimizer import optimize_plan, sparsity_pass
+from graphalg.printer import pretty_print
+from graphalg.semiring import SBin, SCast, SLit, SemiringTag, SVar
 from graphalg.typecheck import check_program
 
 B, I, R, T = SemiringTag.BOOL, SemiringTag.INT, SemiringTag.REAL, SemiringTag.TROP
@@ -101,13 +114,15 @@ func f(v: Vector<3, bool>) -> Vector<3, bool> {
         assert len(pf.root.states) == len(pf.root.bodies) == 1
         assert pf.root.fixpoint is False  # before the in-place pass
 
-    def test_sssp_body_normalizes_to_aggregate_over_union(self, sssp_src):
+    def test_sssp_body_is_state_plus_delta(self, sssp_src):
+        # `v += d` compiles to the shape the in-place rule matches
         pf = plans_for(sssp_src)["sssp"]
-        body = _normalize_apply_add(pf.root.bodies[0])
-        assert isinstance(body, PAggregate)
-        inputs = body.input.inputs
-        assert any(isinstance(p, PScanArg) for p in inputs)
-        assert any(isinstance(p, PAggregate) for p in inputs)  # the matmul
+        body = pf.root.bodies[0]
+        assert isinstance(body, PMap) and body.val == SBin("+", SVar("v0"), SVar("v1"))
+        join = body.input
+        assert isinstance(join, PJoin) and join.pattern == "pointwise"
+        assert isinstance(join.left, PScanArg) and join.left.name == pf.root.states[0][0]
+        assert isinstance(join.right, PAggregate)  # the matmul
 
 
 class TestPretty:
@@ -194,3 +209,131 @@ func f(m: Matrix<s, t, real>) -> Matrix<s, t, real> {
         )
         equal, msg = canonical_equal(sr, expected.canonical(), rel_canonical(out))
         assert equal, msg
+
+
+STDLIB = ["reach", "bfs", "sssp", "wcc", "pr", "pick_first"]
+
+
+def _stdlib_plan(name, level):
+    return compile_source(stdlib.source(name), opt_level=level).plan_for(
+        stdlib.entry_function(name)
+    )
+
+
+def _unshared(compiled, func, level):
+    """The plan of `func` compiled without `share`, then optimized."""
+    fn = compiled.core.functions[func]
+    root = _Compiler().plan(fn.expr)
+    pf = finalize(PlanFunction(fn.name, list(fn.params), root, list(fn.free_dim_symbols)))
+    return optimize_plan(pf, level)
+
+
+class TestShare:
+    """`share` merges nodes of one type, the same children and equal fields."""
+
+    VEC = A.MatrixType(A.DimSym("s"), A.DimLit(1), R)
+
+    def _pair(self, a, b):
+        """Both nodes under one pointwise join, shared: the join's sides."""
+        join = PJoin(ty=self.VEC, left=a, right=b, val_tags=(R, R))
+        out = share(join)
+        return out.left, out.right
+
+    def _map(self, value=None, **kw):
+        val = SVar("v0") if value is None else SBin("+", SVar("v0"), SLit(R, value))
+        return PMap(ty=self.VEC, input=PScanArg(ty=self.VEC, name="x"), val=val, **kw)
+
+    def test_equal_maps_merge(self):
+        left, right = self._pair(self._map(0.0), self._map(0.0))
+        assert left is right
+
+    def test_zero_and_negative_zero_stay_apart(self):
+        left, right = self._pair(self._map(0.0), self._map(-0.0))
+        assert left is not right
+        assert left.input is right.input  # the scans under them still merge
+
+    @pytest.mark.parametrize("field", ["mark", "label"])
+    def test_nodes_differing_in_mark_or_label_stay_apart(self, field):
+        other = {"mark": {"mark": "DENSE"}, "label": {"label": "drop_self_loops"}}[field]
+        left, right = self._pair(self._map(), self._map(**other))
+        assert left is not right
+
+    def test_pagerank_computes_cast_of_n_once(self):
+        pf = _stdlib_plan("pr", 2)
+        casts = [
+            n for n in pf.nodes
+            if isinstance(n, PMap) and isinstance(n.val, SCast) and n.input.ty.sr is I
+        ]
+        assert len(casts) == 1  # `cast<real>(n)`, written three times
+        assert len(pf.nodes) <= 76
+        unshared = _unshared(compile_source(stdlib.source("pr")), "pagerank", 2)
+        assert len(unshared.nodes) == 117
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("name", STDLIB)
+    def test_second_share_changes_no_stdlib_plan(self, name, level):
+        pf = _stdlib_plan(name, level)
+        assert share(pf.root) is pf.root
+        assert pretty_plan(finalize(replace(pf, root=share(pf.root)))) == pretty_plan(pf)
+
+    def test_second_share_changes_no_generated_plan(self):
+        for seed in range(300):
+            text = pretty_print(gen_program(seed).program)
+            for level in (0, 1):
+                pf = compile_source(text, opt_level=level).plan_for("main")
+                again = finalize(replace(pf, root=share(pf.root)))
+                assert pretty_plan(again) == pretty_plan(pf), f"seed {seed}"
+
+    def test_shared_and_unshared_plans_bitwise_equal(self):
+        """On the generated programs share changes, at every level, the
+        shared plan gives the bits of the unshared one."""
+        changed = 0
+        for seed in range(300):
+            gp = gen_program(seed)
+            text = pretty_print(gp.program)
+            compiled = compile_source(text, opt_level=0)
+            if len(_unshared(compiled, "main", 0).nodes) == len(compiled.plan_for("main").nodes):
+                continue
+            changed += 1
+            _, args = gen_inputs(gp, seed)
+            for level in (0, 1, 2):
+                compiled = compile_source(text, opt_level=level)
+                outs = []
+                for pf in (compiled.plan_for("main"), _unshared(compiled, "main", level)):
+                    try:
+                        out, _ = execute(pf, CallBinding(args=dict(args), dims=dict(gp.dims)))
+                    except ArithmeticOverflowError:
+                        out = None
+                    outs.append(out)
+                shared, unshared = outs
+                assert (shared is None) == (unshared is None), f"seed {seed}"
+                assert shared is None or rel_equal(shared, unshared), f"seed {seed}"
+        assert changed >= 50
+
+
+def _plan_kinds(pf):
+    for node in pf.nodes:
+        yield type(node)
+        if isinstance(node, PJoin):
+            yield node.pattern
+
+
+def _subclasses(cls):
+    return {cls} | {s for sub in cls.__subclasses__() for s in _subclasses(sub)}
+
+
+class TestEveryOperatorIsReached:
+    def test_every_node_type_and_join_pattern_occurs(self):
+        """The engine evaluates only what some compiled program contains."""
+        seen = set()
+        fragments = lambda pf: attach_preprocess(pf, "G", True, True)
+        for name in STDLIB:
+            compiled = compile_source(stdlib.source(name), opt_level=0)
+            func = stdlib.entry_function(name)
+            for pf in (compiled.plan_for(func), compiled.plan_for(func, fragments)):
+                seen.update(_plan_kinds(pf))
+        for seed in range(20):
+            text = pretty_print(gen_program(seed).program)
+            seen.update(_plan_kinds(compile_source(text, opt_level=0).plan_for("main")))
+        assert _subclasses(PlanNode) - {PlanNode} <= seen
+        assert set(JOIN_KINDS) <= seen
