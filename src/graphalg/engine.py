@@ -18,6 +18,15 @@ merges change nothing terminates the loop early. A state marked
 semi-naive is read by its body as that change set (the init in the first
 iteration), not as the whole table; the loop still observes and returns
 the whole states.
+
+A matmul join runs in one of two directions, chosen per call by a cost
+estimate. Pull walks every tuple of the left operand and probes the right
+one's row pointer; push walks the right operand and reads, for each of its
+rows k, the left operand's column k through a cached column index. So a
+small change set joined with the whole graph costs its own edges, not the
+graph's. Both directions emit the same pairs, and every output key receives
+its pairs in ascending inner index k in both, so the stable folds above the
+join give bitwise-identical results whichever direction ran.
 """
 
 from __future__ import annotations
@@ -64,7 +73,12 @@ Dim = A.Dim
 
 @dataclass
 class MatrixRelation:
-    """One matrix as a canonical sparse tuple table."""
+    """One matrix as a canonical sparse tuple table.
+
+    Relations are never mutated after construction: operators build new
+    arrays, and the loop's iteration observer keeps earlier states. The
+    cached column index relies on that.
+    """
 
     sr: SemiringTag
     nrows: int
@@ -73,9 +87,24 @@ class MatrixRelation:
     cols: np.ndarray
     vals: np.ndarray
     dense: bool = False
+    _by_col: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def by_col(self) -> tuple[np.ndarray, np.ndarray]:
+        """The column index `(perm, colptr)`: `perm` lists tuple positions in
+        (col, row) order, and column k's tuples sit at
+        `perm[colptr[k]:colptr[k+1]]`. Built on first use and cached."""
+        if self._by_col is None:
+            if self.ncols <= 1:
+                perm = np.arange(len(self), dtype=np.int64)
+            else:
+                perm = np.argsort(self.cols, kind="stable")
+            self._by_col = (perm, _pointer(self.cols, self.ncols))
+        return self._by_col
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -145,6 +174,28 @@ def canonicalize(
     return MatrixRelation(sr, nrows, ncols, rows, cols, vals, dense=dense)
 
 
+def _pointer(keys: np.ndarray, n: int) -> np.ndarray:
+    """Run pointer of sorted keys in [0, n): key k's run is ptr[k]:ptr[k+1]."""
+    ptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def transpose(rel: MatrixRelation) -> MatrixRelation:
+    """The transposed relation, with its column index filled from the sort:
+    the output's (col, row) order is the input's (row, col) order."""
+    order = np.argsort(rel.cols * np.int64(max(rel.nrows, 1)) + rel.rows, kind="stable")
+    out = canonicalize(
+        rel.sr, rel.ncols, rel.nrows, rel.cols[order], rel.rows[order], rel.vals[order],
+        rel.dense, assume_sorted=True,
+    )
+    if len(out) == len(rel):
+        perm = np.empty_like(order)
+        perm[order] = np.arange(len(order))
+        out._by_col = (perm, _pointer(rel.rows, rel.nrows))
+    return out
+
+
 def assert_canonical(rel: MatrixRelation):
     """Debug-mode invariant check after each operator."""
     if len(rel) == 0:
@@ -211,6 +262,7 @@ class ExecStats:
     peak_tuples: dict[int, int] = field(default_factory=dict)
     aggregations_executed: dict[int, int] = field(default_factory=dict)
     loop_iterations: dict[int, int] = field(default_factory=dict)
+    push_joins: dict[int, int] = field(default_factory=dict)  # matmul joins run by push
     fixpoint_exits: int = 0
     division_by_zero: int = 0
     labels: dict[str, int] = field(default_factory=dict)  # label -> node id
@@ -241,6 +293,8 @@ class ExecStats:
             lines.append(f"loop_iterations.node{nid}={self.loop_iterations[nid]}")
         for nid in sorted(self.peak_tuples):
             lines.append(f"peak_tuples.node{nid}={self.peak_tuples[nid]}")
+        for nid in sorted(self.push_joins):
+            lines.append(f"push_joins.node{nid}={self.push_joins[nid]}")
         for nid in sorted(self.tuples_produced):
             lines.append(f"tuples_produced.node{nid}={self.tuples_produced[nid]}")
         return "\n".join(lines) + "\n"
@@ -330,6 +384,53 @@ def first_per_row(
 
 
 # ---------------------------------------------------------------------------
+# Matrix multiplication: the pairs of a's (i, k) and b's (k, c)
+# ---------------------------------------------------------------------------
+
+
+def _expand(lo: np.ndarray, counts: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probe i covers positions lo[i] .. lo[i] + counts[i] - 1: each covered
+    position with the probe it belongs to, probe-major."""
+    probe = np.repeat(np.arange(len(lo)), counts)
+    # a probe's first position minus its first output slot, plus the slot
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return probe, shift + np.arange(total)
+
+
+def pull_pairs(a: MatrixRelation, b: MatrixRelation) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into `a` and `b` of every matching pair, a-major."""
+    ptr = _pointer(b.rows, b.nrows)
+    lo = ptr[a.cols]
+    counts = ptr[a.cols + 1] - lo
+    return _expand(lo, counts, int(counts.sum()))
+
+
+def _push_ranges(a: MatrixRelation, b: MatrixRelation) -> tuple[np.ndarray, np.ndarray]:
+    """For each tuple (k, c) of `b`, the start and length of column k in
+    a's column index."""
+    colptr = a.by_col()[1]
+    lo = colptr[b.rows]
+    return lo, colptr[b.rows + 1] - lo
+
+
+def push_pairs(a: MatrixRelation, b: MatrixRelation) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into `a` and `b` of every matching pair, b-major."""
+    lo, counts = _push_ranges(a, b)
+    right_idx, at = _expand(lo, counts, int(counts.sum()))
+    return a.by_col()[0][at], right_idx
+
+
+def push_is_cheaper(a: MatrixRelation, b: MatrixRelation) -> bool:
+    """The cost rule: push when |b| + P * ceil(log2(P + 1)) < |a|, the log
+    for the sort push's pairs need. P is read from a's column pointer in
+    O(|b|), and only when |b| < |a|, since otherwise push cannot win."""
+    if len(b) >= len(a):
+        return False
+    total = int(_push_ranges(a, b)[1].sum())
+    return len(b) + total * total.bit_length() < len(a)
+
+
+# ---------------------------------------------------------------------------
 # Merging (in-place aggregation support)
 # ---------------------------------------------------------------------------
 
@@ -374,16 +475,28 @@ def merge_in_place(
     change[hit] = _bits(merged[hit]) != _bits(state.vals[at])
     if not change.any():
         return state, empty
-    vals = state.vals.copy()
-    vals[at] = merged[hit]
-    rows, cols = state.rows, state.cols
-    if fresh.any():
-        # both key runs are sorted and unique, so inserting each fresh key at
-        # its search position keeps the table sorted
-        ins = pos[fresh]
-        rows = np.insert(rows, ins, delta.rows[fresh])
-        cols = np.insert(cols, ins, delta.cols[fresh])
-        vals = np.insert(vals, ins, delta.vals[fresh])
+    # both key runs are sorted and unique, so the table stays sorted when
+    # each fresh key goes before the state tuple at its search position:
+    # the i-th fresh key lands in slot pos + i, the state fills the others
+    ins = pos[fresh]
+    if len(ins):
+        slot = ins + np.arange(len(ins))
+        size = len(state) + len(ins)
+        from_state = np.ones(size, np.bool_)
+        from_state[slot] = False
+
+        def spread(kept: np.ndarray, new: np.ndarray) -> np.ndarray:
+            out = np.empty(size, kept.dtype)
+            out[from_state] = kept
+            out[slot] = new
+            return out
+
+        rows = spread(state.rows, delta.rows[fresh])
+        cols = spread(state.cols, delta.cols[fresh])
+        vals = spread(state.vals, delta.vals[fresh])
+    else:
+        rows, cols, vals = state.rows, state.cols, state.vals.copy()
+    vals[at + np.searchsorted(ins, at, side="right")] = merged[hit]
     out = MatrixRelation(sr, state.nrows, state.ncols, rows, cols, vals, dense=state.dense)
     if not state.dense and is_zero(sr, merged[hit]).any():
         out = canonicalize(sr, out.nrows, out.ncols, rows, cols, vals, assume_sorted=True)
@@ -528,10 +641,7 @@ class Executor:
             nr, nc = self.shape(node)
             return MatrixRelation.empty(node.ty.sr, nr, nc)
         if isinstance(node, PTranspose):
-            rel = self.eval(node.input, env, memo)
-            return canonicalize(
-                rel.sr, rel.ncols, rel.nrows, rel.cols, rel.rows, rel.vals, rel.dense
-            )
+            return transpose(self.eval(node.input, env, memo))
         if isinstance(node, PMap):
             return self._eval_map(node, env, memo)
         if isinstance(node, PJoin):
@@ -579,28 +689,27 @@ class Executor:
         raise EngineError(f"unknown join pattern {node.pattern!r}")
 
     def _join_matmul(self, node: PJoin, a: MatrixRelation, b: MatrixRelation):
-        # probe b through its row pointer: b's tuples of row r are
-        # ptr[r]:ptr[r+1], since b is sorted by row
-        ptr = np.zeros(b.nrows + 1, np.int64)
-        np.cumsum(np.bincount(b.rows, minlength=b.nrows), out=ptr[1:])
-        lo = ptr[a.cols]
-        counts = ptr[a.cols + 1] - lo
-        total = int(counts.sum())
+        """The pairs of a's (i, k) and b's (k, c), as a table of (i, c) keys.
+
+        Pull walks every tuple of `a` and probes b's row pointer. It costs
+        O(|a| + P) for P pairs, and its pairs come out sorted by row. Push
+        walks `b` and reads a's column k through `a.by_col()`. It costs
+        O(|b| + P), but the fold above must then sort its pairs from
+        scratch. `push_is_cheaper` picks the direction on each call.
+
+        Soundness of either choice: both emit the same multiset of pairs, and
+        each output key (i, c) receives its pairs in ascending k in both. Pull
+        is a-major, and `a` is sorted by (i, k); push is b-major, and `b` is
+        sorted by (k, c). So the stable folds above the join (REAL sums,
+        `first_per_row`) give bitwise-identical results either way.
+        """
+        if push_is_cheaper(a, b):
+            nid = self.pf.node_id(node)
+            self.stats.push_joins[nid] = self.stats.push_joins.get(nid, 0) + 1
+            left_idx, right_idx = push_pairs(a, b)
+        else:
+            left_idx, right_idx = pull_pairs(a, b)
         nr, nc = self.shape(node)
-        if total == 0:
-            return TupleTable(
-                nr,
-                nc,
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-                [np.empty(0, a.vals.dtype), np.empty(0, b.vals.dtype)],
-                list(node.val_tags),
-                unique=False,
-            )
-        left_idx = np.repeat(np.arange(len(a.rows)), counts)
-        # offsets within each probe range: 0..count-1
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        right_idx = np.repeat(lo, counts) + (np.arange(total) - starts)
         return TupleTable(
             nr,
             nc,

@@ -89,12 +89,22 @@ def structured_graphs(weighted: bool = False) -> dict[str, tuple[int, list[tuple
     star = [(0, i) for i in range(1, 9)]
     two = [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6)]
     complete = [(a, b) for a in range(8) for b in range(8) if a != b]
+    # high diameter: frontiers stay small, so matmul joins run by push
+    grid = [
+        pair
+        for r in range(12)
+        for c in range(12)
+        for nr, nc in ((r, c + 1), (r + 1, c))
+        if nr < 12 and nc < 12
+        for pair in ((12 * r + c, 12 * nr + nc), (12 * nr + nc, 12 * r + c))
+    ]
     return {
         "path": (10, w(path), 0),
         "cycle": (8, w(cycle), 0),
         "star": (9, w(star), 0),
         "two_components": (7, w(two), 0),
         "complete_k8": (8, w(complete), 0),
+        "grid_12x12": (144, w(grid), 0),
     }
 
 

@@ -468,11 +468,18 @@ def _with_children(n: PlanNode, new: tuple) -> PlanNode:
     return n
 
 
+# frozen, hashable and holding no floats: keyed by value
+_BY_VALUE = (MatrixType, A.DimSym, A.DimLit)
+
+
 def _key(v):
-    """A hashable key for a field value: plan nodes by identity, floats by
-    bit pattern, tuples and dataclasses by their parts."""
+    """A hashable key for a field value: plan nodes by identity, types and
+    dimensions by value, floats by bit pattern, tuples and other dataclasses
+    by their parts."""
     if isinstance(v, PlanNode):
         return id(v)
+    if isinstance(v, _BY_VALUE):
+        return v
     if isinstance(v, float):
         return (float, struct.pack("<d", v))
     if isinstance(v, tuple):

@@ -2,6 +2,7 @@
 
 import importlib.resources as res
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,23 @@ class TestRun:
         text = capsys.readouterr().out
         assert "loop_iterations" in text
         assert "fixpoint_exits=1" in text
+
+    def test_stats_count_push_joins(self, program_file, tmp_path, capsys):
+        # on a path each change set is one vertex, so every join pushes
+        v, e = tmp_path / "p.v", tmp_path / "p.e"
+        v.write_text("".join(f"{i}\n" for i in range(40)))
+        e.write_text("".join(f"{i} {i + 1}\n" for i in range(39)))
+        code = main(
+            ["run", str(program_file), "--vertices", str(v), "--edges", str(e),
+             "--source", "0", "--output", str(tmp_path / "out.tsv"), "--stats"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        (push,) = [line for line in lines if line.startswith("push_joins.")]
+        assert re.fullmatch(r"push_joins\.node\d+=40", push)
+        assert "loop_iterations.node0=40" in lines
+        keys = [line.split(".")[0] for line in lines if "." in line.split("=")[0]]
+        assert keys == sorted(keys)
 
     def test_missing_source_is_usage_error(self, program_file, graph_files, capsys):
         v, e = graph_files

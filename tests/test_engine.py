@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import rel_canonical
 from graphalg.api import compile_source, run_source
@@ -16,9 +18,15 @@ from graphalg.engine import (
     MatrixRelation,
     assert_canonical,
     execute,
+    first_per_row,
+    fold_rowcol,
     merge_in_place,
     pick_any_aggregate,
+    pull_pairs,
+    push_is_cheaper,
+    push_pairs,
     rel_equal,
+    transpose,
 )
 from graphalg.errors import (
     ArithmeticOverflowError,
@@ -28,7 +36,7 @@ from graphalg.errors import (
 )
 from graphalg.harness import make_graph_input, source_vector
 from graphalg.plan import PAggregate, PJoin, PLoop, PlanFunction, finalize
-from graphalg.semiring import SemiringTag, ZERO_PAYLOAD
+from graphalg.semiring import SemiringTag, ZERO_PAYLOAD, vmul
 
 B, I, R, T = SemiringTag.BOOL, SemiringTag.INT, SemiringTag.REAL, SemiringTag.TROP
 
@@ -617,6 +625,102 @@ func f(a: Vector<s, int>, b: Vector<s, int>) -> Vector<s, int> {
         )
         with pytest.raises(EngineError, match="left keys"):
             ex._join_pointwise(pf.root.input, unsorted, ok)
+
+
+# payloads whose sums depend on the order they are added in
+MATMUL_VALUES = {
+    B: st.just(True),
+    I: st.integers(-3, 3),
+    R: st.sampled_from([1e16, -1e16, 1.0, 0.1, -2.5, 3.0]),
+    T: st.sampled_from([0.0, 0.5, 1.25, 2.0]),
+}
+
+
+@st.composite
+def matmul_operands(draw):
+    """Operands of a product, rectangular or empty. `a` is sometimes full and
+    dense, and some of its columns are sometimes dropped, so that rows of `b`
+    find no match."""
+    sr = draw(st.sampled_from([B, I, R, T]))
+    n1, n2, n3 = (draw(st.integers(0, 6)) for _ in range(3))
+
+    def relation(nr, nc, full=False):
+        cells = [(i, j) for i in range(nr) for j in range(nc)]
+        if not full and cells:
+            cells = draw(st.lists(st.sampled_from(cells), unique=True))
+        elif not full:
+            cells = []
+        tuples = [(i, j, draw(MATMUL_VALUES[sr])) for i, j in cells]
+        return MatrixRelation.from_tuples(sr, nr, nc, tuples, dense=full)
+
+    a = relation(n1, n2, full=draw(st.booleans()))
+    if not a.dense and draw(st.booleans()):
+        keep = a.cols % 2 == 0
+        a = MatrixRelation(sr, n1, n2, a.rows[keep], a.cols[keep], a.vals[keep])
+    return sr, a, relation(n2, n3)
+
+
+def _grid_relation(sr, k: int) -> MatrixRelation:
+    value = {B: True, R: 1.0}[sr]
+    tuples = [
+        t
+        for r in range(k)
+        for c in range(k)
+        for nr, nc in ((r, c + 1), (r + 1, c))
+        if nr < k and nc < k
+        for t in ((k * r + c, k * nr + nc, value), (k * nr + nc, k * r + c, value))
+    ]
+    return MatrixRelation.from_tuples(sr, k * k, k * k, tuples)
+
+
+class TestMatmulDirections:
+    """Push and pull emit the same pairs, and the folds over them agree
+    bitwise; the cost rule picks push only for a small right operand."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(operands=matmul_operands())
+    def test_push_and_pull_fold_alike(self, operands):
+        sr, a, b = operands
+        folds = []
+        for kernel in (pull_pairs, push_pairs):
+            left, right = kernel(a, b)
+            rows, cols = a.rows[left], b.cols[right]
+            vals = vmul(sr, a.vals[left], b.vals[right])
+            folds.append((
+                sorted(zip(left.tolist(), right.tolist())),
+                fold_rowcol(sr, a.nrows, b.ncols, rows, cols, vals)[0],
+                first_per_row(sr, a.nrows, b.ncols, rows, cols, vals),
+            ))
+        (pull_set, pull_sum, pull_first), (push_set, push_sum, push_first) = folds
+        assert push_set == pull_set
+        assert rel_equal(push_sum, pull_sum)
+        assert rel_equal(push_first, pull_first)
+
+    def test_cost_rule(self):
+        gt = transpose(_grid_relation(B, 30))
+        one = source_vector(900, 0, B)
+        assert push_is_cheaper(gt, one)
+        frontier = MatrixRelation.from_tuples(B, 900, 1, [(i, 0, True) for i in range(900)])
+        assert not push_is_cheaper(gt, frontier)
+        # pagerank's `GR.T * w`: every edge against a dense rank vector
+        w = MatrixRelation(
+            R, 900, 1, np.arange(900), np.zeros(900, np.int64), np.full(900, 0.5), dense=True
+        )
+        assert not push_is_cheaper(transpose(_grid_relation(R, 30)), w)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 5), (6, 2), (1, 4), (5, 1), (7, 7)])
+    def test_transpose_fills_the_column_index(self, shape):
+        rng = random.Random(sum(shape))
+        nr, nc = shape
+        tuples = [
+            (i, j, rng.randint(1, 9)) for i in range(nr) for j in range(nc) if rng.random() < 0.4
+        ]
+        t = transpose(MatrixRelation.from_tuples(I, nr, nc, tuples))
+        assert t.shape == (nc, nr)
+        assert t._by_col is not None
+        built = MatrixRelation(t.sr, t.nrows, t.ncols, t.rows, t.cols, t.vals).by_col()
+        for filled, lazy in zip(t.by_col(), built):
+            assert np.array_equal(filled, lazy)
 
 
 class TestDeterminism:

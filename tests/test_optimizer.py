@@ -686,6 +686,23 @@ func f(G: Matrix<s, s, bool>, a: Vector<s, bool>, b: Vector<s, bool>) -> Vector<
         assert naive.tuples_produced[pf.node_id(join)] > 10 * m
 
 
+    def test_sssp_pushes_on_a_grid(self):
+        """From a corner of a grid the change set stays a thin wavefront, so
+        the matmul join runs by push in nearly every iteration; the choice
+        changes no bit of the output at any level or without fixpoint exits."""
+        g, _ = _grid(30, seed=7)
+        binding = CallBinding(args={"G": g.adjacency, "src": source_vector(900, 0, T)})
+        pf = compile_source(stdlib.source("sssp"), opt_level=2).plan_for("sssp")
+        out, stats = execute(pf, binding)
+        iterations = stats.loop_iterations[pf.node_id(pf.root)]
+        assert sum(stats.push_joins.values()) >= 0.9 * iterations
+        for level in (0, 1):
+            plan = compile_source(stdlib.source("sssp"), opt_level=level).plan_for("sssp")
+            assert rel_equal(execute(plan, binding)[0], out)
+        no_exit, _ = execute(pf, binding, ExecOptions(disable_fixpoint=True))
+        assert rel_equal(no_exit, out)
+
+
 class TestLevelDifferentials:
     GRAPH = make_graph_input(
         8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (2, 6), (6, 0)], "bool"
