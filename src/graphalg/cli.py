@@ -394,9 +394,14 @@ def main(argv=None) -> int:
             problem = f"--dense-limit must be non-negative, got {ns.dense_limit}"
         elif not math.isfinite(ns.damping):
             problem = f"--damping must be a finite number, got {ns.damping}"
+        elif not 0 <= ns.damping <= 1:
+            problem = f"--damping must lie between 0 and 1, got {ns.damping}"
         if problem:
             print(problem, file=sys.stderr)
             return EXIT_USAGE
+    if ns.command == "oracle" and ns.count < 0:
+        print(f"--count must be non-negative, got {ns.count}", file=sys.stderr)
+        return EXIT_USAGE
     return ns.fn(ns)
 
 

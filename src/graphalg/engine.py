@@ -19,14 +19,32 @@ semi-naive is read by its body as that change set (the init in the first
 iteration), not as the whole table; the loop still observes and returns
 the whole states.
 
+Sorting costs O(n) for n tuples. Every fold (`fold_rowcol`,
+`first_per_row`, `canonicalize`) and every column index orders its keys
+with `stable_order`. It first counts the key's descents in one O(n)
+compare: keys that are already non-decreasing skip the sort, and keys in a
+few sorted runs (an edge file that concatenates sorted parts) go to
+timsort, which merges r runs in O(n log r). The others take
+least-significant-digit radix passes over 16-bit digits, as many as the
+key's bound needs, each a stable counting sort. A transpose sorts by column
+alone: a stable sort by column of a relation in (row, col) order yields its
+(col, row) order. `stable_order` returns exactly the permutation of a
+stable comparison sort, so every fold sees its group members in input
+order and REAL sums are bitwise reproducible. The pointwise join keeps
+numpy's timsort, because its input is two concatenated sorted runs,
+timsort's best case.
+
 A matmul join runs in one of two directions, chosen per call by a cost
 estimate. Pull walks every tuple of the left operand and probes the right
 one's row pointer; push walks the right operand and reads, for each of its
 rows k, the left operand's column k through a cached column index. So a
 small change set joined with the whole graph costs its own edges, not the
-graph's. Both directions emit the same pairs, and every output key receives
-its pairs in ascending inner index k in both, so the stable folds above the
-join give bitwise-identical results whichever direction ran.
+graph's. Pull against a one-column right operand (a vector) matches each
+left tuple at most once, so it needs no pair expansion, and its pairs come
+out in output order, so the fold above skips its sort. Both directions
+emit the same pairs, and every output key receives its pairs in ascending
+inner index k in both, so the stable folds above the join give
+bitwise-identical results whichever direction ran.
 """
 
 from __future__ import annotations
@@ -87,24 +105,32 @@ class MatrixRelation:
     cols: np.ndarray
     vals: np.ndarray
     dense: bool = False
-    _by_col: Optional[tuple[np.ndarray, np.ndarray]] = field(
+    _colptr: Optional[np.ndarray] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _col_perm: Optional[np.ndarray] = field(
         default=None, init=False, compare=False, repr=False
     )
 
     def __len__(self) -> int:
         return len(self.rows)
 
+    def colptr(self) -> np.ndarray:
+        """The column pointer: column k holds `colptr[k+1] - colptr[k]`
+        tuples. Built on first use in O(n) and cached apart from `by_col`'s
+        permutation, which costs a sort, so pricing a push needs no sort."""
+        if self._colptr is None:
+            self._colptr = _pointer(self.cols, self.ncols)
+        return self._colptr
+
     def by_col(self) -> tuple[np.ndarray, np.ndarray]:
         """The column index `(perm, colptr)`: `perm` lists tuple positions in
         (col, row) order, and column k's tuples sit at
         `perm[colptr[k]:colptr[k+1]]`. Built on first use and cached."""
-        if self._by_col is None:
-            if self.ncols <= 1:
-                perm = np.arange(len(self), dtype=np.int64)
-            else:
-                perm = np.argsort(self.cols, kind="stable")
-            self._by_col = (perm, _pointer(self.cols, self.ncols))
-        return self._by_col
+        if self._col_perm is None:
+            order = stable_order(self.cols, self.ncols)
+            self._col_perm = np.arange(len(self)) if order is None else order
+        return self._col_perm, self.colptr()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -163,10 +189,11 @@ def canonicalize(
 
     Keys must already be unique; aggregation is the callers' job.
     """
-    if len(rows) and not assume_sorted:
-        key = rows * np.int64(max(ncols, 1)) + cols
-        order = np.argsort(key, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
+    if not assume_sorted:
+        stride = max(ncols, 1)
+        order = stable_order(rows * np.int64(stride) + cols, max(nrows, 1) * stride)
+        if order is not None:
+            rows, cols, vals = rows[order], cols[order], vals[order]
     if not dense and len(vals):
         keep = ~is_zero(sr, vals)
         if not keep.all():
@@ -181,10 +208,46 @@ def _pointer(keys: np.ndarray, n: int) -> np.ndarray:
     return ptr
 
 
+def stable_order(key: np.ndarray, bound: int) -> Optional[np.ndarray]:
+    """The permutation `np.argsort(key, kind="stable")` of non-negative int
+    keys below `bound`, or None when the keys are already non-decreasing.
+
+    One O(n) compare counts the descents. Keys in r sorted runs with
+    r < 4**passes go to numpy's timsort, which merges them in O(n log r);
+    the others take `radix_order`'s passes, each O(n).
+    """
+    if len(key) < 2:
+        return None
+    descents = np.count_nonzero(key[1:] < key[:-1])
+    if descents == 0:
+        return None
+    passes = -(-int(bound - 1).bit_length() // 16)
+    if descents < 4**passes:
+        return np.argsort(key, kind="stable")
+    return radix_order(key, passes)
+
+
+def radix_order(key: np.ndarray, passes: int) -> np.ndarray:
+    """`np.argsort(key, kind="stable")` of non-negative int keys below
+    2**(16 * passes), by least-significant-digit radix passes over 16-bit
+    digits: numpy sorts a uint16 array stably by counting."""
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    for shift in range(16, 16 * passes, 16):
+        digit = (key[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
 def transpose(rel: MatrixRelation) -> MatrixRelation:
-    """The transposed relation, with its column index filled from the sort:
-    the output's (col, row) order is the input's (row, col) order."""
-    order = np.argsort(rel.cols * np.int64(max(rel.nrows, 1)) + rel.rows, kind="stable")
+    """The transposed relation, with its column index filled from the sort.
+
+    `rel` is sorted by (row, col) with unique keys, so a stable sort by
+    column alone puts it in (col, row) order, the output's canonical order;
+    and the output's (col, row) order is the input's (row, col) order.
+    """
+    order = stable_order(rel.cols, rel.ncols)
+    if order is None:
+        order = np.arange(len(rel))
     out = canonicalize(
         rel.sr, rel.ncols, rel.nrows, rel.cols[order], rel.rows[order], rel.vals[order],
         rel.dense, assume_sorted=True,
@@ -192,7 +255,8 @@ def transpose(rel: MatrixRelation) -> MatrixRelation:
     if len(out) == len(rel):
         perm = np.empty_like(order)
         perm[order] = np.arange(len(order))
-        out._by_col = (perm, _pointer(rel.rows, rel.nrows))
+        out._col_perm = perm
+        out._colptr = _pointer(rel.rows, rel.nrows)
     return out
 
 
@@ -348,11 +412,12 @@ def fold_rowcol(
         return MatrixRelation.empty(sr, nrows, ncols), 0
     stride = np.int64(max(ncols, 1))
     key = rows * stride + cols
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    starts = _group_starts(skey)
-    folded = vadd_reduceat(sr, vals[order], starts)
-    ukey = skey[starts]
+    order = stable_order(key, max(nrows, 1) * int(stride))
+    if order is not None:
+        key, vals = key[order], vals[order]
+    starts = _group_starts(key)
+    folded = vadd_reduceat(sr, vals, starts)
+    ukey = key[starts]
     out_rows = ukey // stride
     rel = canonicalize(
         sr, nrows, ncols, out_rows, ukey - out_rows * stride, folded, assume_sorted=True
@@ -377,8 +442,10 @@ def first_per_row(
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     if len(rows) == 0:
         return MatrixRelation.empty(sr, nrows, ncols)
-    order = np.argsort(rows * np.int64(max(ncols, 1)) + cols, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    stride = max(ncols, 1)
+    order = stable_order(rows * np.int64(stride) + cols, max(nrows, 1) * stride)
+    if order is not None:
+        rows, cols, vals = rows[order], cols[order], vals[order]
     first = _group_starts(rows)
     return MatrixRelation(sr, nrows, ncols, rows[first], cols[first], vals[first])
 
@@ -398,17 +465,25 @@ def _expand(lo: np.ndarray, counts: np.ndarray, total: int) -> tuple[np.ndarray,
 
 
 def pull_pairs(a: MatrixRelation, b: MatrixRelation) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into `a` and `b` of every matching pair, a-major."""
+    """Indices into `a` and `b` of every matching pair, a-major.
+
+    A one-column `b` holds at most one tuple per row, since its keys are
+    unique, so each tuple of `a` matches at most once and needs no
+    expansion. Those pairs come out in (row, 0) order.
+    """
     ptr = _pointer(b.rows, b.nrows)
     lo = ptr[a.cols]
     counts = ptr[a.cols + 1] - lo
+    if b.ncols == 1:
+        left = np.flatnonzero(counts)
+        return left, lo[left]
     return _expand(lo, counts, int(counts.sum()))
 
 
 def _push_ranges(a: MatrixRelation, b: MatrixRelation) -> tuple[np.ndarray, np.ndarray]:
     """For each tuple (k, c) of `b`, the start and length of column k in
     a's column index."""
-    colptr = a.by_col()[1]
+    colptr = a.colptr()
     lo = colptr[b.rows]
     return lo, colptr[b.rows + 1] - lo
 

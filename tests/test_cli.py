@@ -182,6 +182,24 @@ class TestRun:
         assert code == 1
         assert "--damping" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("damping", ["2", "-0.5", "1.0000001"])
+    def test_damping_outside_unit_interval_is_usage_error(self, graph_files, damping):
+        v, e = graph_files
+        pr = res.files("graphalg.stdlib").joinpath("pr.gr")
+        code, err = run_cli("run", pr, "--vertices", v, "--edges", e, "--damping", damping)
+        assert code == 1
+        assert err.splitlines() == [
+            f"--damping must lie between 0 and 1, got {float(damping)}"
+        ]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damping", ["0", "1"])
+    def test_damping_bounds_are_valid(self, graph_files, damping, capsys):
+        v, e = graph_files
+        pr = str(res.files("graphalg.stdlib").joinpath("pr.gr"))
+        assert main(["run", pr, "--vertices", str(v), "--edges", str(e), "--damping", damping]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_negative_dense_limit_is_usage_error(self, program_file, graph_files):
         v, e = graph_files
         code, err = run_cli(
@@ -299,6 +317,12 @@ class TestOracleCommand:
 
     def test_unknown_name(self, capsys):
         assert main(["oracle", "nonsense"]) == 1
+
+    def test_negative_count_is_usage_error(self):
+        code, err = run_cli("oracle", "wcc", "--count", "-1")
+        assert code == 1
+        assert err.splitlines() == ["--count must be non-negative, got -1"]
+        assert "Traceback" not in err
 
 
 class TestPreprocess:

@@ -13,6 +13,8 @@ from reference import rel_canonical
 from graphalg.api import compile_source, run_source
 from graphalg.engine import (
     CallBinding,
+    _expand,
+    _pointer,
     ExecOptions,
     Executor,
     MatrixRelation,
@@ -25,7 +27,9 @@ from graphalg.engine import (
     pull_pairs,
     push_is_cheaper,
     push_pairs,
+    radix_order,
     rel_equal,
+    stable_order,
     transpose,
 )
 from graphalg.errors import (
@@ -637,12 +641,14 @@ MATMUL_VALUES = {
 
 
 @st.composite
-def matmul_operands(draw):
+def matmul_operands(draw, ncols=None):
     """Operands of a product, rectangular or empty. `a` is sometimes full and
     dense, and some of its columns are sometimes dropped, so that rows of `b`
-    find no match."""
+    find no match. `ncols` fixes b's column count."""
     sr = draw(st.sampled_from([B, I, R, T]))
     n1, n2, n3 = (draw(st.integers(0, 6)) for _ in range(3))
+    if ncols is not None:
+        n3 = ncols
 
     def relation(nr, nc, full=False):
         cells = [(i, j) for i in range(nr) for j in range(nc)]
@@ -708,6 +714,19 @@ class TestMatmulDirections:
         )
         assert not push_is_cheaper(transpose(_grid_relation(R, 30)), w)
 
+    def test_pricing_a_push_builds_no_permutation(self):
+        """The cost rule reads a's column pointer only; the permutation, which
+        costs a sort, is built when push runs."""
+        g = _grid_relation(R, 30)
+        ones = MatrixRelation(
+            R, 900, 1, np.arange(900), np.zeros(900, np.int64), np.ones(900), dense=True
+        )
+        assert not push_is_cheaper(g, ones)
+        assert g._colptr is not None and g._col_perm is None
+        assert push_is_cheaper(g, source_vector(900, 0, R))
+        push_pairs(g, source_vector(900, 0, R))
+        assert g._col_perm is not None
+
     @pytest.mark.parametrize("shape", [(0, 0), (3, 5), (6, 2), (1, 4), (5, 1), (7, 7)])
     def test_transpose_fills_the_column_index(self, shape):
         rng = random.Random(sum(shape))
@@ -717,10 +736,99 @@ class TestMatmulDirections:
         ]
         t = transpose(MatrixRelation.from_tuples(I, nr, nc, tuples))
         assert t.shape == (nc, nr)
-        assert t._by_col is not None
+        assert t._col_perm is not None and t._colptr is not None
         built = MatrixRelation(t.sr, t.nrows, t.ncols, t.rows, t.cols, t.vals).by_col()
         for filled, lazy in zip(t.by_col(), built):
             assert np.array_equal(filled, lazy)
+
+    @pytest.mark.parametrize(
+        "nr, nc, m", [(0, 0, 0), (5, 4, 0), (9, 1, 6), (1, 9, 6), (40, 3, 90), (300, 70_000, 2000)]
+    )
+    def test_transpose_equals_the_full_key_sort(self, nr, nc, m):
+        """Sorting by column alone gives what a sort by the whole
+        (col, row) key gave, bitwise; the last shape needs two radix passes."""
+        rng = np.random.default_rng(nr * 7 + nc + m)
+        key = np.sort(rng.choice(nr * nc, size=m, replace=False)) if m else np.empty(0, np.int64)
+        rows, cols = key // max(nc, 1), key % max(nc, 1)
+        rel = MatrixRelation(R, nr, nc, rows, cols, rng.standard_normal(m))
+        t = transpose(rel)
+        order = np.argsort(rel.cols * np.int64(max(nr, 1)) + rel.rows, kind="stable")
+        assert np.array_equal(t.rows, rel.cols[order])
+        assert np.array_equal(t.cols, rel.rows[order])
+        assert np.array_equal(t.vals.view(np.int64), rel.vals[order].view(np.int64))
+        built = MatrixRelation(t.sr, t.nrows, t.ncols, t.rows, t.cols, t.vals).by_col()
+        for filled, lazy in zip(t.by_col(), built):
+            assert np.array_equal(filled, lazy)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(operands=matmul_operands(ncols=1))
+    def test_one_column_pull_needs_no_expansion(self, operands):
+        """The direct path of a one-column `b` gives the expanded pairs in
+        their order, and its output keys are non-decreasing, so the fold
+        above skips its sort."""
+        _, a, b = operands
+        ptr = _pointer(b.rows, b.nrows)
+        lo = ptr[a.cols]
+        counts = ptr[a.cols + 1] - lo
+        expanded = _expand(lo, counts, int(counts.sum()))
+        left, right = pull_pairs(a, b)
+        assert np.array_equal(left, expanded[0]) and np.array_equal(right, expanded[1])
+        key = a.rows[left] + b.cols[right]
+        assert stable_order(key, max(a.nrows, 1)) is None
+
+
+STABLE_ORDER_BOUNDS = [1, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**62]
+
+
+@st.composite
+def order_keys(draw):
+    """Keys below a bound, as drawn or arranged to be sorted, reversed or all
+    equal. They come from a small pool whose 16-bit digits are 0, 1 or
+    0xFFFF, so equal keys and keys that differ in one digit only are common."""
+    bound = draw(st.sampled_from(STABLE_ORDER_BOUNDS))
+    digits = st.lists(st.sampled_from([0, 1, 0xFFFF]), min_size=4, max_size=4)
+    values = digits.map(lambda ds: sum(d << (16 * i) for i, d in enumerate(ds)) % bound)
+    pool = draw(st.lists(values | st.integers(0, bound - 1), min_size=1, max_size=6))
+    keys = draw(st.lists(st.sampled_from(pool), max_size=40))
+    shape = draw(st.sampled_from(["drawn", "sorted", "reversed", "equal"]))
+    if shape == "sorted":
+        keys.sort()
+    elif shape == "reversed":
+        keys.sort(reverse=True)
+    elif shape == "equal":
+        keys = keys[:1] * len(keys)
+    return np.array(keys, np.int64), bound
+
+
+class TestStableOrder:
+    """`stable_order` and its radix passes against numpy's stable argsort."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(case=order_keys())
+    def test_matches_the_stable_argsort(self, case):
+        key, bound = case
+        order = stable_order(key, bound)
+        expected = np.argsort(key, kind="stable")
+        assert (order is None) == bool((np.diff(key) >= 0).all())
+        if order is None:
+            assert np.array_equal(expected, np.arange(len(key)))
+        else:
+            assert np.array_equal(order, expected)
+        passes = -(-(bound - 1).bit_length() // 16)
+        assert np.array_equal(radix_order(key, max(passes, 1)), expected)
+
+    @pytest.mark.parametrize("bound", STABLE_ORDER_BOUNDS)
+    @pytest.mark.parametrize("runs", [1, 2, 5000])
+    def test_large_keys_in_sorted_runs(self, bound, runs):
+        """5000 keys in `runs` sorted runs: one run skips the sort, two go
+        to timsort, and 5000 (random keys) to the radix passes."""
+        key = np.random.default_rng(bound % 1000 + runs).integers(0, bound, 5000)
+        key = np.concatenate([np.sort(part) for part in np.array_split(key, runs)])
+        order = stable_order(key, bound)
+        if runs == 1 or bound == 1:
+            assert order is None
+        else:
+            assert np.array_equal(order, np.argsort(key, kind="stable"))
 
 
 class TestDeterminism:
