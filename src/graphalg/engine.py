@@ -11,13 +11,17 @@ The Loop operator evaluates its hoisted subplans once, then one body
 subplan per state variable against the previous iteration's states, and
 commits all states at once. Each iteration starts from a memo that holds
 the hoisted values, so the bodies read them instead of recomputing. States
-rewritten for in-place aggregation keep a persistent table and add each
+rewritten for in-place aggregation keep a persistent state and add each
 iteration's delta into it (`merge_in_place`); the merge also returns the
 change set, and when fixpoint checking is enabled, an iteration whose
 merges change nothing terminates the loop early. A state marked
 semi-naive is read by its body as that change set (the init in the first
-iteration), not as the whole table; the loop still observes and returns
-the whole states.
+iteration), not as the whole state; the loop still observes and returns
+the whole states. An in-place state of one column is held as a value array
+with one slot per row (`VectorState`), so its merge costs O(|delta|), not
+O(|state|); its relation is rebuilt, in O(nrows), only where something
+reads the whole state. Matrix states, and vectors of more rows than
+`ExecOptions.dense_limit`, keep a sorted table.
 
 Sorting costs O(n) for n tuples. Every fold (`fold_rowcol`,
 `first_per_row`, `canonicalize`) and every column index orders its keys
@@ -520,25 +524,90 @@ def _find(skey: np.ndarray, qkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, hit
 
 
-def merge_in_place(
-    state: MatrixRelation, delta: MatrixRelation
-) -> tuple[MatrixRelation, MatrixRelation]:
-    """Add a delta into an accumulation table.
+@dataclass
+class VectorState:
+    """An in-place loop state of one column, held as one value slot per row.
 
-    Returns the merged relation and its change set: the tuples whose key is
+    Slot r holds the value of tuple (r, 0). A sparse state stores the
+    semiring identity in the slots of rows it has no tuple for, the rule
+    `canonicalize` applies, so a slot is filled exactly when its value is
+    not the identity; a dense state fills every slot. A merge reads and
+    writes only the delta's rows. `relation()` rebuilds the canonical
+    relation in O(nrows) and caches it until the next merge that changes a
+    slot, so a relation it returned is never changed by a later merge.
+    """
+
+    sr: SemiringTag
+    vals: np.ndarray
+    dense: bool = False
+    _rel: Optional[MatrixRelation] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.vals), 1)
+
+    @staticmethod
+    def of(rel: MatrixRelation) -> "VectorState":
+        vals = np.full(rel.nrows, ZERO_PAYLOAD[rel.sr], NUMPY_DTYPE[rel.sr])
+        vals[rel.rows] = rel.vals
+        state = VectorState(rel.sr, vals, rel.dense)
+        state._rel = rel
+        return state
+
+    def relation(self) -> MatrixRelation:
+        if self._rel is None:
+            if self.dense:
+                rows = np.arange(len(self.vals), dtype=np.int64)
+            else:
+                rows = np.flatnonzero(~is_zero(self.sr, self.vals))
+            self._rel = MatrixRelation(
+                self.sr, len(self.vals), 1, rows, np.zeros(len(rows), np.int64),
+                self.vals[rows], dense=self.dense,
+            )
+        return self._rel
+
+
+LoopState = Union[MatrixRelation, VectorState]
+
+
+def as_relation(state: LoopState) -> MatrixRelation:
+    return state.relation() if isinstance(state, VectorState) else state
+
+
+def merge_in_place(state: LoopState, delta: MatrixRelation) -> tuple[LoopState, MatrixRelation]:
+    """Add a delta into an accumulation state.
+
+    Returns the merged state and its change set: the tuples whose key is
     new to the state or whose value the merge changed bitwise, holding
     their merged values. Where a sum cancels, the key leaves the merged
     state and its change-set entry holds the identity. The change set is
     empty exactly when the merged relation equals the state, which drives
     fixpoint detection, and it is sorted with unique keys. The existing
     state value is always the left operand of the addition.
+
+    A state comes in two forms, and both merge to bitwise-equal relations
+    and change sets. A `VectorState` is updated in place in O(|delta|): it
+    reads and writes only the delta's rows. An empty slot takes the delta
+    value as is, which is a change only if it is not the identity; so a
+    REAL -0.0 is no change, and a TROP NaN is stored where fmin(inf, NaN)
+    would give inf. A filled slot takes vadd(state, delta) and changes if
+    the bits differ. That is the sorted-table rule below, with "empty slot"
+    for "key not in the table". A `MatrixRelation` keeps the sorted-table
+    merge, which spreads the state into new arrays in O(|state|). The loop
+    uses the array only for one-column states of at most
+    `ExecOptions.dense_limit` rows: an array costs O(nrows) memory however
+    sparse the state, and a matrix state would cost O(nrows * ncols).
     """
     if state.shape != delta.shape or state.sr is not delta.sr:
         raise EngineError("merge_in_place: shape or semiring mismatch")
     sr = state.sr
-    empty = MatrixRelation.empty(sr, state.nrows, state.ncols)
+    empty = MatrixRelation.empty(sr, *state.shape)
     if len(delta) == 0:
         return state, empty
+    if isinstance(state, VectorState):
+        return _merge_slots(state, delta, empty)
     pos, hit = _find(state.keys(), delta.keys())
     at = pos[hit]
     merged = delta.vals.copy()
@@ -577,6 +646,26 @@ def merge_in_place(
         out = canonicalize(sr, out.nrows, out.ncols, rows, cols, vals, assume_sorted=True)
     return out, MatrixRelation(
         sr, state.nrows, state.ncols, delta.rows[change], delta.cols[change], merged[change]
+    )
+
+
+def _merge_slots(
+    state: VectorState, delta: MatrixRelation, empty: MatrixRelation
+) -> tuple[VectorState, MatrixRelation]:
+    sr = state.sr
+    old = state.vals[delta.rows]
+    filled = np.ones(len(old), np.bool_) if state.dense else ~is_zero(sr, old)
+    merged = delta.vals.copy()
+    merged[filled] = vadd(sr, old[filled], delta.vals[filled])
+    change = ~is_zero(sr, delta.vals)
+    change[filled] = _bits(merged[filled]) != _bits(old[filled])
+    if not change.any():
+        return state, empty
+    rows = delta.rows[change]
+    state.vals[rows] = merged[change]
+    state._rel = None
+    return state, MatrixRelation(
+        sr, len(state.vals), 1, rows, delta.cols[change], merged[change]
     )
 
 
@@ -888,7 +977,7 @@ class Executor:
         shared = (
             {id(p): self.eval(p, env, memo) for _, p in node.hoisted} if bound > 0 else {}
         )
-        states: dict[str, MatrixRelation] = {}
+        states: dict[str, LoopState] = {}
         for name, init in node.states:
             rel = self.eval(init, env, memo)
             if isinstance(rel, TupleTable):
@@ -901,10 +990,19 @@ class Executor:
         deltas = {
             name: states[name] for name, flag in zip(names, node.seminaive) if flag
         }
+        # an in-place vector merges into a value array (see merge_in_place);
+        # its relation is rebuilt only where something reads the whole state
+        for name, flag in zip(names, node.inplace):
+            rel = states[name]
+            if flag and rel.ncols == 1 and rel.nrows <= self.options.dense_limit:
+                states[name] = VectorState.of(rel)
 
         for it in range(bound):
             iter_env = dict(env)
-            iter_env.update(states)
+            # a semi-naive state is read only as its change set
+            iter_env.update(
+                (name, as_relation(s)) for name, s in states.items() if name not in deltas
+            )
             iter_env.update(deltas)
             if node.index_name:
                 iter_env[node.index_name] = MatrixRelation(
@@ -923,7 +1021,7 @@ class Executor:
                 if node.inplace[i]:
                     merged, change = merge_in_place(states[name], results[i])
                     if self.options.debug_checks:
-                        assert_canonical(merged)
+                        assert_canonical(as_relation(merged))
                     states[name] = merged
                     changed = len(change) > 0
                     if name in deltas:
@@ -935,11 +1033,13 @@ class Executor:
                 changed_any = changed_any or changed
             self.stats.loop_iterations[nid] = self.stats.loop_iterations.get(nid, 0) + 1
             if self.options.iteration_observer is not None:
-                self.options.iteration_observer(nid, it, dict(states))
+                self.options.iteration_observer(
+                    nid, it, {name: as_relation(s) for name, s in states.items()}
+                )
             if check_fixpoint and not changed_any:
                 self.stats.fixpoint_exits += 1
                 break
-        return states[names[0]]
+        return as_relation(states[names[0]])
 
 
 def execute(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,10 @@ from reference import rel_canonical
 from graphalg.api import compile_source, run_source
 from graphalg.engine import (
     CallBinding,
+    VectorState,
+    as_relation,
+    canonicalize,
+    _bits,
     _expand,
     _pointer,
     ExecOptions,
@@ -38,9 +43,10 @@ from graphalg.errors import (
     DenseLimitError,
     EngineError,
 )
-from graphalg.harness import make_graph_input, source_vector
+from graphalg import engine
+from graphalg.harness import make_graph_input, run_stdlib, source_vector, structured_graphs
 from graphalg.plan import PAggregate, PJoin, PLoop, PlanFunction, finalize
-from graphalg.semiring import SemiringTag, ZERO_PAYLOAD, vmul
+from graphalg.semiring import NUMPY_DTYPE, SemiringTag, ZERO_PAYLOAD, vmul
 
 B, I, R, T = SemiringTag.BOOL, SemiringTag.INT, SemiringTag.REAL, SemiringTag.TROP
 
@@ -383,41 +389,52 @@ def _random_vector_dict(rng: random.Random, sr: SemiringTag, n: int) -> dict:
     return {r: pick() for r in rows}
 
 
+# the two forms of an in-place state: the sorted table and the value array
+STATE_FORMS = (lambda rel: rel, VectorState.of)
+
+
 class TestMerge:
     """`merge_in_place` returns the merged state and its change set: the
-    tuples whose key is new or whose value changed, with merged values."""
+    tuples whose key is new or whose value changed, with merged values.
+    Every test runs over both state forms."""
 
     def test_trop_min_merge(self):
-        state = MatrixRelation.from_tuples(T, 4, 1, [(1, 0, 5.0), (3, 0, 1.0)])
-        delta = MatrixRelation.from_tuples(
-            T, 4, 1, [(1, 0, 3.0), (2, 0, 9.0), (3, 0, 4.0)]
-        )
-        merged, change = merge_in_place(state, delta)
-        assert merged.to_dict() == {(1, 0): 3.0, (2, 0): 9.0, (3, 0): 1.0}
-        assert change.to_dict() == {(1, 0): 3.0, (2, 0): 9.0}
-        assert_canonical(merged)
-        assert_canonical(change)
+        for form in STATE_FORMS:
+            state = MatrixRelation.from_tuples(T, 4, 1, [(1, 0, 5.0), (3, 0, 1.0)])
+            delta = MatrixRelation.from_tuples(
+                T, 4, 1, [(1, 0, 3.0), (2, 0, 9.0), (3, 0, 4.0)]
+            )
+            merged, change = merge_in_place(form(state), delta)
+            merged = as_relation(merged)
+            assert merged.to_dict() == {(1, 0): 3.0, (2, 0): 9.0, (3, 0): 1.0}
+            assert change.to_dict() == {(1, 0): 3.0, (2, 0): 9.0}
+            assert_canonical(merged)
+            assert_canonical(change)
 
     def test_empty_delta_no_change(self):
-        state = MatrixRelation.from_tuples(T, 4, 1, [(1, 0, 5.0)])
-        merged, change = merge_in_place(state, MatrixRelation.empty(T, 4, 1))
-        assert len(change) == 0 and change.shape == (4, 1)
-        assert merged.to_dict() == state.to_dict()
+        for form in STATE_FORMS:
+            state = MatrixRelation.from_tuples(T, 4, 1, [(1, 0, 5.0)])
+            merged, change = merge_in_place(form(state), MatrixRelation.empty(T, 4, 1))
+            assert len(change) == 0 and change.shape == (4, 1)
+            assert as_relation(merged).to_dict() == state.to_dict()
 
     def test_bool_idempotent(self):
-        state = MatrixRelation.from_tuples(B, 4, 1, [(1, 0, True), (2, 0, True)])
-        merged, change = merge_in_place(state, state)
-        assert len(change) == 0
-        assert merged.to_dict() == {(1, 0): True, (2, 0): True}
+        for form in STATE_FORMS:
+            state = MatrixRelation.from_tuples(B, 4, 1, [(1, 0, True), (2, 0, True)])
+            merged, change = merge_in_place(form(state), state)
+            assert len(change) == 0
+            assert as_relation(merged).to_dict() == {(1, 0): True, (2, 0): True}
 
     def test_int_sum_to_zero_drops_entry(self):
-        state = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 3), (2, 0, 1)])
-        delta = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, -3), (1, 0, 4)])
-        merged, change = merge_in_place(state, delta)
-        assert merged.to_dict() == {(1, 0): 4, (2, 0): 1}
-        assert_canonical(merged)
-        # the cancelled key is a change; its entry holds the identity
-        assert change.to_dict() == {(0, 0): 0, (1, 0): 4}
+        for form in STATE_FORMS:
+            state = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 3), (2, 0, 1)])
+            delta = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, -3), (1, 0, 4)])
+            merged, change = merge_in_place(form(state), delta)
+            merged = as_relation(merged)
+            assert merged.to_dict() == {(1, 0): 4, (2, 0): 1}
+            assert_canonical(merged)
+            # the cancelled key is a change; its entry holds the identity
+            assert change.to_dict() == {(0, 0): 0, (1, 0): 4}
 
     def test_random_merges_match_dict_reference(self):
         rng = random.Random(5)
@@ -431,8 +448,6 @@ class TestMerge:
                 delta = MatrixRelation.from_tuples(
                     sr, 30, 1, [(r, 0, v) for r, v in delta_d.items()]
                 )
-                merged, change = merge_in_place(state, delta)
-                assert_canonical(merged)
                 expect = dict(state.to_dict())
                 for key, v in delta.to_dict().items():
                     if key in expect:
@@ -440,20 +455,152 @@ class TestMerge:
                              R: expect[key] + v, T: min(expect[key], v)}[sr]
                     expect[key] = v
                 zero = ZERO_PAYLOAD[sr]
-                assert merged.to_dict() == {k: v for k, v in expect.items() if v != zero}
                 changed = {
                     k: expect[k] for k in delta.to_dict()
                     if state.to_dict().get(k, zero) != expect[k]
                 }
-                assert change.to_dict() == changed
+                for form in STATE_FORMS:
+                    merged, change = merge_in_place(form(state), delta)
+                    merged = as_relation(merged)
+                    assert_canonical(merged)
+                    assert merged.to_dict() == {k: v for k, v in expect.items() if v != zero}
+                    assert change.to_dict() == changed
 
     def test_shape_mismatch_rejected(self):
         a = MatrixRelation.empty(T, 2, 1)
-        b = MatrixRelation.empty(T, 3, 1)
-        from graphalg.errors import EngineError
+        for form in STATE_FORMS:
+            for b in (MatrixRelation.empty(T, 3, 1), MatrixRelation.empty(R, 2, 1)):
+                with pytest.raises(EngineError):
+                    merge_in_place(form(a), b)
 
-        with pytest.raises(EngineError):
-            merge_in_place(a, b)
+
+# values that reach the merge's edge cases: identities of both signs,
+# cancellation, NaN, and INT sums that overflow
+MERGE_VALUES = {
+    B: [True, False],
+    I: [-3, -1, 0, 1, 3, 2**62, 2**63 - 1, -(2**63)],
+    R: [-1.5, -0.5, 0.0, -0.0, 0.5, 1.5, math.nan, math.inf],
+    T: [-1.0, 0.0, -0.0, 1.0, 2.5, math.inf, math.nan],
+}
+
+
+@st.composite
+def merge_operands(draw):
+    """A one-column state and delta of one semiring, each sparse (identities
+    dropped) or dense (every row, identities kept); the delta may be empty."""
+    sr = draw(st.sampled_from([B, I, R, T]))
+    n = draw(st.integers(0, 12))
+
+    def vector(dense: bool) -> MatrixRelation:
+        if dense:
+            rows = list(range(n))
+        else:
+            rows = sorted(draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)))
+        vals = draw(st.lists(st.sampled_from(MERGE_VALUES[sr]), min_size=len(rows), max_size=len(rows)))
+        return canonicalize(
+            sr, n, 1, np.array(rows, np.int64), np.zeros(len(rows), np.int64),
+            np.array(vals, NUMPY_DTYPE[sr]), dense=dense, assume_sorted=True,
+        )
+
+    return vector(draw(st.booleans())), vector(draw(st.booleans()))
+
+
+def _same(a: MatrixRelation, b: MatrixRelation) -> bool:
+    return rel_equal(a, b) and a.dense == b.dense
+
+
+class TestVectorState:
+    """The value array against the sorted-table merge, and what it costs."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(operands=merge_operands())
+    def test_array_merge_equals_table_merge(self, operands):
+        state, delta = operands
+        array = VectorState.of(state)
+        try:
+            merged, change = merge_in_place(state, delta)
+        except ArithmeticOverflowError:
+            with pytest.raises(ArithmeticOverflowError):
+                merge_in_place(array, delta)
+            # the failed merge wrote no slot
+            assert _same(array.relation(), state)
+            return
+        out, array_change = merge_in_place(array, delta)
+        assert out is array
+        assert _same(array_change, change)
+        assert _same(array.relation(), merged)
+
+    def test_negative_zero_delta_is_no_change(self):
+        for sr in (R, T):
+            state = MatrixRelation.from_tuples(sr, 3, 1, [(0, 0, 1.0)])
+            zero = ZERO_PAYLOAD[sr]
+            delta = MatrixRelation(
+                sr, 3, 1, np.arange(3), np.zeros(3, np.int64),
+                np.array([zero, -0.0 if sr is R else zero, zero]), dense=True,
+            )
+            for form in STATE_FORMS:
+                merged, change = merge_in_place(form(state), delta)
+                assert len(change) == 0
+                assert as_relation(merged).to_dict() == {(0, 0): 1.0}
+
+    def test_nan_delta_on_an_empty_slot_is_stored(self):
+        """fmin(inf, NaN) would give inf; an empty slot takes NaN as is."""
+        for sr in (R, T):
+            state = MatrixRelation.from_tuples(sr, 3, 1, [(0, 0, 1.0)])
+            delta = MatrixRelation.from_tuples(sr, 3, 1, [(0, 0, math.nan), (2, 0, math.nan)])
+            for form in STATE_FORMS:
+                merged, change = merge_in_place(form(state), delta)
+                got = as_relation(merged).to_dict()
+                assert math.isnan(got[(2, 0)])
+                # a filled slot adds: 1.0 + NaN is NaN, fmin(1.0, NaN) is 1.0
+                if sr is R:
+                    assert list(change.rows) == [0, 2] and math.isnan(got[(0, 0)])
+                else:
+                    assert list(change.rows) == [2] and got[(0, 0)] == 1.0
+
+    def test_int_overflow_raises_in_both_forms(self):
+        state = MatrixRelation.from_tuples(I, 2, 1, [(1, 0, 2**63 - 1)])
+        delta = MatrixRelation.from_tuples(I, 2, 1, [(1, 0, 1)])
+        for form in STATE_FORMS:
+            with pytest.raises(ArithmeticOverflowError):
+                merge_in_place(form(state), delta)
+
+    def test_one_tuple_merge_allocates_little(self):
+        """Merging one tuple into a 10^6-row array allocates under 64 KB,
+        where the sorted table allocates the whole state's keys, and a
+        relation rebuilt before the merge keeps its values."""
+        n = 10**6
+        state = MatrixRelation(
+            T, n, 1, np.arange(0, n, 2), np.zeros(n // 2, np.int64), np.ones(n // 2)
+        )
+        delta = MatrixRelation.from_tuples(T, n, 1, [(7, 0, 0.5)])
+        array = VectorState.of(state)
+        before = array.relation()
+        held = before.vals.copy()
+
+        def peak(merge_state) -> int:
+            tracemalloc.start()
+            try:
+                merge_in_place(merge_state, delta)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(array) < 64 * 1024
+        assert peak(state) > 64 * 1024
+        assert array.relation() is not before
+        assert array.relation().to_dict()[(7, 0)] == 0.5
+        assert (7, 0) not in before.to_dict()
+        assert np.array_equal(before.vals, held)
+
+    def test_relation_is_cached_until_a_change(self):
+        state = VectorState.of(MatrixRelation.from_tuples(B, 5, 1, [(1, 0, True)]))
+        first = state.relation()
+        merge_in_place(state, MatrixRelation.from_tuples(B, 5, 1, [(1, 0, True)]))
+        assert state.relation() is first
+        merge_in_place(state, MatrixRelation.from_tuples(B, 5, 1, [(3, 0, True)]))
+        assert state.relation() is not first
+        assert first.to_dict() == {(1, 0): True}
 
 
 class TestPickAny:
@@ -829,6 +976,96 @@ class TestStableOrder:
             assert order is None
         else:
             assert np.array_equal(order, np.argsort(key, kind="stable"))
+
+
+LOOP_RUNS = [
+    (0, {}),
+    (1, {}),
+    (2, {}),
+    (2, {"disable_fixpoint": True}),
+    (2, {"debug_checks": True}),
+]
+
+
+class TestVectorStateLoops:
+    """A loop that holds a one-column in-place state as a value array gives
+    the outputs, counters and per-iteration states of the sorted table,
+    which `dense_limit` below the row count keeps."""
+
+    def _run(self, name, graph, src, level, opts, limit):
+        trace = []
+
+        def observe(nid, it, states):
+            # keep each observed relation and a copy of its arrays
+            trace.append((nid, it, {
+                k: (rel, rel.rows.copy(), rel.vals.copy()) for k, rel in states.items()
+            }))
+
+        out, stats = run_stdlib(
+            name, graph, source=src, opt_level=level,
+            options=ExecOptions(dense_limit=limit, iteration_observer=observe, **opts),
+        )
+        return out, stats, trace
+
+    @pytest.mark.parametrize("name", ["reach", "bfs", "sssp", "wcc"])
+    def test_stdlib_agrees_with_the_table_path(self, name):
+        mode = "trop" if name == "sssp" else "bool"
+        for label, (n, edges, src) in structured_graphs(name == "sssp").items():
+            graph = make_graph_input(n, edges, mode)
+            for level, opts in LOOP_RUNS:
+                runs = [self._run(name, graph, src, level, opts, limit) for limit in (n, n - 1)]
+                (out_a, stats_a, trace_a), (out_t, stats_t, trace_t) = runs
+                where = f"{name}/{label} O{level} {opts}"
+                assert rel_equal(out_a, out_t) and out_a.dense == out_t.dense, where
+                assert stats_a.to_text() == stats_t.to_text(), where
+                assert [t[:2] for t in trace_a] == [t[:2] for t in trace_t], where
+                for (_, _, a), (_, _, b) in zip(trace_a, trace_t):
+                    assert a.keys() == b.keys(), where
+                    assert all(rel_equal(a[k][0], b[k][0]) for k in a), where
+                # no later merge changed a relation the observer was given
+                for _, _, states in trace_a:
+                    for rel, rows, vals in states.values():
+                        assert np.array_equal(rel.rows, rows), where
+                        assert np.array_equal(_bits(rel.vals), _bits(vals)), where
+
+    def test_dense_limit_keeps_the_table_path(self, monkeypatch):
+        n, edges, src = structured_graphs(True)["grid_12x12"]
+        graph = make_graph_input(n, edges, "trop")
+        seen = []
+        merge = engine.merge_in_place
+
+        def spy(state, delta):
+            seen.append(type(state))
+            return merge(state, delta)
+
+        monkeypatch.setattr(engine, "merge_in_place", spy)
+        outs = {}
+        for limit in (n, n - 1):
+            seen.clear()
+            outs[limit], _ = run_stdlib("sssp", graph, source=src, options=ExecOptions(dense_limit=limit))
+            kinds = {VectorState} if limit == n else {MatrixRelation}
+            assert seen and set(seen) == kinds
+        assert rel_equal(outs[n], outs[n - 1])
+
+    def test_matrix_state_keeps_the_table_path(self, monkeypatch):
+        text = """
+func f(G: Matrix<s, s, bool>) -> Matrix<s, s, bool> {
+    R = G;
+    for i in 0..s {
+        R += R * G;
+    }
+    return R;
+}
+"""
+        g = make_graph_input(4, [(0, 1), (1, 2), (2, 3)], "bool")
+        seen = []
+        merge = engine.merge_in_place
+        monkeypatch.setattr(
+            engine, "merge_in_place", lambda s, d: seen.append(type(s)) or merge(s, d)
+        )
+        out, _ = run_source(text, "f", CallBinding(args={"G": g.adjacency}))
+        assert seen and set(seen) == {MatrixRelation}
+        assert len(out) == 6
 
 
 class TestDeterminism:
