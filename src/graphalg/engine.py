@@ -17,11 +17,11 @@ change set, and when fixpoint checking is enabled, an iteration whose
 merges change nothing terminates the loop early. A state marked
 semi-naive is read by its body as that change set (the init in the first
 iteration), not as the whole state; the loop still observes and returns
-the whole states. An in-place state of one column is held as a value array
-with one slot per row (`VectorState`), so its merge costs O(|delta|), not
-O(|state|); its relation is rebuilt, in O(nrows), only where something
-reads the whole state. Matrix states, and vectors of more rows than
-`ExecOptions.dense_limit`, keep a sorted table.
+the whole states. A semi-naive state of one column turns, once it holds
+nrows / `VECTOR_FILL` tuples, into a value array with one slot per row
+(`VectorState`), so its merge costs O(|delta|), not O(|state|); its
+relation is rebuilt, in O(nrows), only for the iteration observer, debug
+checks and the loop result. Other states keep a sorted table.
 
 Sorting costs O(n) for n tuples. Every fold (`fold_rowcol`,
 `first_per_row`, `canonicalize`) and every column index orders its keys
@@ -535,6 +535,18 @@ class VectorState:
     writes only the delta's rows. `relation()` rebuilds the canonical
     relation in O(nrows) and caches it until the next merge that changes a
     slot, so a relation it returned is never changed by a later merge.
+
+    The loop holds a state in this form only if it is semi-naive and has
+    one column, and only once it has at least nrows / VECTOR_FILL tuples
+    (`as_vector`). A semi-naive state's bodies read its change sets, so
+    its relation is rebuilt only for the iteration observer, `debug_checks`
+    and the loop result; a body that read the whole state would rebuild it
+    in O(nrows) on every iteration that changes it. Building the array and
+    rebuilding the relation each cost O(nrows), which from that size on is
+    at most VECTOR_FILL times the O(|state|) of one sorted-table merge; so
+    a loop over a few tuples of a large graph keeps the table and never
+    pays O(nrows). A matrix state keeps the table: its array would cost
+    O(nrows * ncols).
     """
 
     sr: SemiringTag
@@ -571,6 +583,18 @@ class VectorState:
 
 LoopState = Union[MatrixRelation, VectorState]
 
+# a semi-naive vector state turns into a value array at nrows / VECTOR_FILL
+# tuples (see VectorState)
+VECTOR_FILL = 16
+
+
+def as_vector(state: LoopState) -> LoopState:
+    """A one-column state as a `VectorState` once it has at least
+    nrows / VECTOR_FILL tuples, else as it is."""
+    if isinstance(state, MatrixRelation) and len(state) * VECTOR_FILL >= state.nrows:
+        return VectorState.of(state)
+    return state
+
 
 def as_relation(state: LoopState) -> MatrixRelation:
     return state.relation() if isinstance(state, VectorState) else state
@@ -595,10 +619,8 @@ def merge_in_place(state: LoopState, delta: MatrixRelation) -> tuple[LoopState, 
     would give inf. A filled slot takes vadd(state, delta) and changes if
     the bits differ. That is the sorted-table rule below, with "empty slot"
     for "key not in the table". A `MatrixRelation` keeps the sorted-table
-    merge, which spreads the state into new arrays in O(|state|). The loop
-    uses the array only for one-column states of at most
-    `ExecOptions.dense_limit` rows: an array costs O(nrows) memory however
-    sparse the state, and a matrix state would cost O(nrows * ncols).
+    merge, which spreads the state into new arrays in O(|state|).
+    `VectorState` says which states the loop holds in which form.
     """
     if state.shape != delta.shape or state.sr is not delta.sr:
         raise EngineError("merge_in_place: shape or semiring mismatch")
@@ -990,19 +1012,15 @@ class Executor:
         deltas = {
             name: states[name] for name, flag in zip(names, node.seminaive) if flag
         }
-        # an in-place vector merges into a value array (see merge_in_place);
-        # its relation is rebuilt only where something reads the whole state
-        for name, flag in zip(names, node.inplace):
-            rel = states[name]
-            if flag and rel.ncols == 1 and rel.nrows <= self.options.dense_limit:
-                states[name] = VectorState.of(rel)
+        # a semi-naive vector turns into a value array once it is large
+        # enough (see VectorState); its bodies read only its change sets
+        vectors = {name for name in deltas if states[name].ncols == 1}
+        for name in vectors:
+            states[name] = as_vector(states[name])
 
         for it in range(bound):
             iter_env = dict(env)
-            # a semi-naive state is read only as its change set
-            iter_env.update(
-                (name, as_relation(s)) for name, s in states.items() if name not in deltas
-            )
+            iter_env.update(states)
             iter_env.update(deltas)
             if node.index_name:
                 iter_env[node.index_name] = MatrixRelation(
@@ -1020,6 +1038,8 @@ class Executor:
             for i, name in enumerate(names):
                 if node.inplace[i]:
                     merged, change = merge_in_place(states[name], results[i])
+                    if name in vectors:
+                        merged = as_vector(merged)
                     if self.options.debug_checks:
                         assert_canonical(as_relation(merged))
                     states[name] = merged

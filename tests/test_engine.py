@@ -987,12 +987,30 @@ LOOP_RUNS = [
 ]
 
 
-class TestVectorStateLoops:
-    """A loop that holds a one-column in-place state as a value array gives
-    the outputs, counters and per-iteration states of the sorted table,
-    which `dense_limit` below the row count keeps."""
+# VECTOR_FILL settings: 0 never turns a state into an array (the table
+# path), 16 is the default, and 10**9 turns every non-empty state into one
+FILLS = (0, engine.VECTOR_FILL, 10**9)
 
-    def _run(self, name, graph, src, level, opts, limit):
+
+def _spy_merges(monkeypatch) -> list:
+    """Record the form of each state that `engine.merge_in_place` merges."""
+    seen = []
+    merge = engine.merge_in_place
+
+    def spy(state, delta):
+        seen.append(type(state))
+        return merge(state, delta)
+
+    monkeypatch.setattr(engine, "merge_in_place", spy)
+    return seen
+
+
+class TestVectorStateLoops:
+    """A loop that holds a semi-naive vector state as a value array gives
+    the outputs, counters and per-iteration states of the sorted table,
+    whenever the state turns into the array."""
+
+    def _run(self, monkeypatch, fill, name, graph, src, level, opts):
         trace = []
 
         def observe(nid, it, states):
@@ -1001,51 +1019,76 @@ class TestVectorStateLoops:
                 k: (rel, rel.rows.copy(), rel.vals.copy()) for k, rel in states.items()
             }))
 
+        monkeypatch.setattr(engine, "VECTOR_FILL", fill)
         out, stats = run_stdlib(
             name, graph, source=src, opt_level=level,
-            options=ExecOptions(dense_limit=limit, iteration_observer=observe, **opts),
+            options=ExecOptions(iteration_observer=observe, **opts),
         )
         return out, stats, trace
 
     @pytest.mark.parametrize("name", ["reach", "bfs", "sssp", "wcc"])
-    def test_stdlib_agrees_with_the_table_path(self, name):
+    def test_stdlib_agrees_with_the_table_path(self, monkeypatch, name):
         mode = "trop" if name == "sssp" else "bool"
         for label, (n, edges, src) in structured_graphs(name == "sssp").items():
             graph = make_graph_input(n, edges, mode)
             for level, opts in LOOP_RUNS:
-                runs = [self._run(name, graph, src, level, opts, limit) for limit in (n, n - 1)]
-                (out_a, stats_a, trace_a), (out_t, stats_t, trace_t) = runs
-                where = f"{name}/{label} O{level} {opts}"
-                assert rel_equal(out_a, out_t) and out_a.dense == out_t.dense, where
-                assert stats_a.to_text() == stats_t.to_text(), where
-                assert [t[:2] for t in trace_a] == [t[:2] for t in trace_t], where
-                for (_, _, a), (_, _, b) in zip(trace_a, trace_t):
-                    assert a.keys() == b.keys(), where
-                    assert all(rel_equal(a[k][0], b[k][0]) for k in a), where
-                # no later merge changed a relation the observer was given
-                for _, _, states in trace_a:
-                    for rel, rows, vals in states.values():
-                        assert np.array_equal(rel.rows, rows), where
-                        assert np.array_equal(_bits(rel.vals), _bits(vals)), where
+                table, *arrays = [
+                    self._run(monkeypatch, fill, name, graph, src, level, opts) for fill in FILLS
+                ]
+                out_t, stats_t, trace_t = table
+                for fill, (out_a, stats_a, trace_a) in zip(FILLS[1:], arrays):
+                    where = f"{name}/{label} O{level} {opts} fill {fill}"
+                    assert rel_equal(out_a, out_t) and out_a.dense == out_t.dense, where
+                    assert stats_a.to_text() == stats_t.to_text(), where
+                    assert [t[:2] for t in trace_a] == [t[:2] for t in trace_t], where
+                    for (_, _, a), (_, _, b) in zip(trace_a, trace_t):
+                        assert a.keys() == b.keys(), where
+                        assert all(rel_equal(a[k][0], b[k][0]) for k in a), where
+                    # no later merge changed a relation the observer was given
+                    for _, _, states in trace_a:
+                        for rel, rows, vals in states.values():
+                            assert np.array_equal(rel.rows, rows), where
+                            assert np.array_equal(_bits(rel.vals), _bits(vals)), where
 
-    def test_dense_limit_keeps_the_table_path(self, monkeypatch):
+    def test_state_turns_into_an_array_once_large_enough(self, monkeypatch):
+        """From one source on the 144-vertex grid, sssp merges into the
+        table until the state holds 144 / 16 = 9 tuples, then into the
+        array."""
         n, edges, src = structured_graphs(True)["grid_12x12"]
         graph = make_graph_input(n, edges, "trop")
-        seen = []
-        merge = engine.merge_in_place
-
-        def spy(state, delta):
-            seen.append(type(state))
-            return merge(state, delta)
-
-        monkeypatch.setattr(engine, "merge_in_place", spy)
-        outs = {}
-        for limit in (n, n - 1):
+        seen = _spy_merges(monkeypatch)
+        outs = []
+        forms = ([MatrixRelation], [MatrixRelation, VectorState], [VectorState])
+        for fill, want in zip(FILLS, forms):
             seen.clear()
-            outs[limit], _ = run_stdlib("sssp", graph, source=src, options=ExecOptions(dense_limit=limit))
-            kinds = {VectorState} if limit == n else {MatrixRelation}
-            assert seen and set(seen) == kinds
-        assert rel_equal(outs[n], outs[n - 1])
+            monkeypatch.setattr(engine, "VECTOR_FILL", fill)
+            outs.append(run_stdlib("sssp", graph, source=src)[0])
+            # the forms in the order of their first merge, each merge after
+            # the first array merge an array merge
+            assert list(dict.fromkeys(seen)) == want
+            assert VectorState not in seen or set(seen[seen.index(VectorState):]) == {VectorState}
+        assert all(rel_equal(out, outs[0]) for out in outs)
+
+    def test_state_read_whole_keeps_the_table_path(self, monkeypatch):
+        """A REAL sum is not idempotent, so the body reads the whole
+        in-place state, which stays a sorted table at any size."""
+        text = """
+func f(G: Matrix<s, s, real>, v0: Vector<s, real>) -> Vector<s, real> {
+    v = v0;
+    for i in 0..3 {
+        v += v * G;
+    }
+    return v;
+}
+"""
+        g = make_graph_input(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], "real")
+        v0 = source_vector(4, 0, R)
+        seen = _spy_merges(monkeypatch)
+        monkeypatch.setattr(engine, "VECTOR_FILL", 10**9)
+        out, _ = run_source(text, "f", CallBinding(args={"G": g.adjacency, "v0": v0}))
+        assert seen and set(seen) == {MatrixRelation}
+        # v becomes (1 + G)^3 applied to the source: binomial path counts
+        assert out.to_dict() == {(0, 0): 1.0, (1, 0): 3.0, (2, 0): 3.0, (3, 0): 1.0}
 
     def test_matrix_state_keeps_the_table_path(self, monkeypatch):
         text = """
@@ -1058,11 +1101,8 @@ func f(G: Matrix<s, s, bool>) -> Matrix<s, s, bool> {
 }
 """
         g = make_graph_input(4, [(0, 1), (1, 2), (2, 3)], "bool")
-        seen = []
-        merge = engine.merge_in_place
-        monkeypatch.setattr(
-            engine, "merge_in_place", lambda s, d: seen.append(type(s)) or merge(s, d)
-        )
+        seen = _spy_merges(monkeypatch)
+        monkeypatch.setattr(engine, "VECTOR_FILL", 10**9)
         out, _ = run_source(text, "f", CallBinding(args={"G": g.adjacency}))
         assert seen and set(seen) == {MatrixRelation}
         assert len(out) == 6
