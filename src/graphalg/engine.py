@@ -34,9 +34,15 @@ key's bound needs, each a stable counting sort. A transpose sorts by column
 alone: a stable sort by column of a relation in (row, col) order yields its
 (col, row) order. `stable_order` returns exactly the permutation of a
 stable comparison sort, so every fold sees its group members in input
-order and REAL sums are bitwise reproducible. The pointwise join keeps
-numpy's timsort, because its input is two concatenated sorted runs,
-timsort's best case.
+order and REAL sums are bitwise reproducible.
+
+A full relation holds all nrows * ncols positions, so tuple i has key i.
+Where keys line up, a join reuses its inputs' arrays and does not sort,
+probe or scatter: a pointwise join of identical runs or with a full or empty
+side (`align_keys`), a pull against a full vector, a pad onto a full grid.
+These are pr's joins. Interleaved runs, such as wcc's `A (.+) A.T`, keep a
+stable argsort of the two runs, timsort's best case (`merge_runs`). No
+operator writes into an input array, so the sharing is sound.
 
 A matmul join runs in one of two directions, chosen per call by a cost
 estimate. Pull walks every tuple of the left operand and probes the right
@@ -97,9 +103,10 @@ Dim = A.Dim
 class MatrixRelation:
     """One matrix as a canonical sparse tuple table.
 
-    Relations are never mutated after construction: operators build new
-    arrays, and the loop's iteration observer keeps earlier states. The
-    cached column index relies on that.
+    Relations are never mutated after construction: no operator writes into
+    an input array, though an output may share arrays with its inputs, and
+    the loop's iteration observer keeps earlier states. The cached column
+    index relies on that.
     """
 
     sr: SemiringTag
@@ -524,6 +531,43 @@ def _find(skey: np.ndarray, qkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, hit
 
 
+def merge_runs(lkey: np.ndarray, rkey: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of two sorted unique key runs, and each run's slots in it.
+    A stable sort of the two runs is a merge, and each key occurs once or
+    twice in a row; a `searchsorted` merge measured no faster."""
+    keys = np.concatenate([lkey, rkey])
+    order = np.argsort(keys, kind="stable")
+    skeys = keys[order]
+    starts = _group_starts(skeys)
+    # slot[i]: the output position of input key i
+    first = np.zeros(len(skeys), np.int64)
+    first[starts] = 1
+    slot = np.empty(len(keys), np.int64)
+    slot[order] = np.cumsum(first) - 1
+    return skeys[starts], slot[: len(lkey)], slot[len(lkey) :]
+
+
+def align_keys(
+    lt: TupleTable, rt: TupleTable, lkey: np.ndarray, rkey: np.ndarray, size: int, stride
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """The union of two sorted unique key runs over `size` positions, as
+    (rows, cols), and each side's slots in it, None where a side is the
+    union. Identical runs are the union; a full side holds key i at
+    position i, so it is the union and the other side's slots are its keys,
+    as is the side opposite an empty one.
+    Each case gives `merge_runs`' result, and sharing a side's arrays is
+    sound because no operator writes into an input array."""
+    if len(lkey) == len(rkey) and np.array_equal(lkey, rkey):
+        return lt.rows, lt.cols, None, None
+    if len(lkey) == size or len(rkey) == 0:
+        return lt.rows, lt.cols, None, rkey
+    if len(rkey) == size or len(lkey) == 0:
+        return rt.rows, rt.cols, lkey, None
+    ukey, lslot, rslot = merge_runs(lkey, rkey)
+    rows = ukey // stride
+    return rows, ukey - rows * stride, lslot, rslot
+
+
 @dataclass
 class VectorState:
     """An in-place loop state of one column, held as one value slot per row.
@@ -532,9 +576,10 @@ class VectorState:
     semiring identity in the slots of rows it has no tuple for, the rule
     `canonicalize` applies, so a slot is filled exactly when its value is
     not the identity; a dense state fills every slot. A merge reads and
-    writes only the delta's rows. `relation()` rebuilds the canonical
-    relation in O(nrows) and caches it until the next merge that changes a
-    slot, so a relation it returned is never changed by a later merge.
+    writes only the delta's rows, in the state's own array, which no
+    operator reads. `relation()` rebuilds the canonical relation in O(nrows)
+    into new arrays and caches it until the next merge that changes a slot,
+    so a relation it returned is never changed by a later merge.
 
     The loop holds a state in this form only if it is semi-naive and has
     one column, and only once it has at least nrows / VECTOR_FILL tuples
@@ -888,14 +933,24 @@ class Executor:
         is a-major, and `a` is sorted by (i, k); push is b-major, and `b` is
         sorted by (k, c). So the stable folds above the join (REAL sums,
         `first_per_row`) give bitwise-identical results either way.
+
+        A full one-column `b` holds row k at position k, so pull's pairs are
+        (0 .. |a|-1, `a.cols`) and need no probe. The table shares a's arrays,
+        sound as no operator writes into an input. Push never wins there: its
+        P is |a|, so the cost rule fails.
         """
+        nr, nc = self.shape(node)
+        if b.ncols == 1 and len(b) == b.nrows:
+            return TupleTable(
+                nr, nc, a.rows, np.zeros(len(a), np.int64), [a.vals, b.vals[a.cols]],
+                list(node.val_tags), unique=False,
+            )
         if push_is_cheaper(a, b):
             nid = self.pf.node_id(node)
             self.stats.push_joins[nid] = self.stats.push_joins.get(nid, 0) + 1
             left_idx, right_idx = push_pairs(a, b)
         else:
             left_idx, right_idx = pull_pairs(a, b)
-        nr, nc = self.shape(node)
         return TupleTable(
             nr,
             nc,
@@ -907,6 +962,9 @@ class Executor:
         )
 
     def _join_pointwise(self, node: PJoin, left, right):
+        """Both sides' values on the union of their keys, each padded with
+        its identity (`align_keys`). A side that already is the union passes
+        its value arrays on, sound as no operator writes into an input."""
         lt, rt = _as_table(left), _as_table(right)
         nr, nc = self.shape(node)
         stride = np.int64(max(nc, 1))
@@ -918,37 +976,21 @@ class Executor:
                     raise EngineError(
                         f"pointwise join: {side} keys are not sorted and unique"
                     )
-        # both key runs are sorted and unique: a stable sort of the two runs
-        # is a merge, and each key occurs once or twice in a row
-        keys = np.concatenate([lkey, rkey])
-        order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        starts = _group_starts(skeys)
-        all_keys = skeys[starts]
-        rows = all_keys // stride
-        cols = all_keys - rows * stride
-        # slot[i]: the output position of input key i
-        first = np.zeros(len(skeys), np.int64)
-        first[starts] = 1
-        slot = np.empty(len(keys), np.int64)
-        slot[order] = np.cumsum(first) - 1
+        rows, cols, lslot, rslot = align_keys(lt, rt, lkey, rkey, nr * nc, stride)
 
-        def pad(table: TupleTable, pos: np.ndarray) -> list[np.ndarray]:
+        def pad(table: TupleTable, slot: Optional[np.ndarray]) -> list[np.ndarray]:
+            if slot is None:
+                return list(table.vals)
             out = []
             for col_vals, tag in zip(table.vals, table.tags):
-                padded = np.full(len(all_keys), ZERO_PAYLOAD[tag], NUMPY_DTYPE[tag])
-                padded[pos] = col_vals
+                padded = np.full(len(rows), ZERO_PAYLOAD[tag], NUMPY_DTYPE[tag])
+                padded[slot] = col_vals
                 out.append(padded)
             return out
 
         return TupleTable(
-            nr,
-            nc,
-            rows,
-            cols,
-            pad(lt, slot[: len(lkey)]) + pad(rt, slot[len(lkey) :]),
-            list(lt.tags) + list(rt.tags),
-            unique=True,
+            nr, nc, rows, cols, pad(lt, lslot) + pad(rt, rslot),
+            list(lt.tags) + list(rt.tags), unique=True,
         )
 
     def _join_cross(self, node: PJoin, left: MatrixRelation, right: MatrixRelation):
@@ -958,13 +1000,20 @@ class Executor:
         return TupleTable(nr, nc, rows, cols, [], [], unique=True)
 
     def _join_pad(self, node: PJoin, grid, data: MatrixRelation):
+        """`data`'s values on the grid's keys, the identity elsewhere. A full
+        grid holds key k at position k, so a data key is its own slot. Under
+        `debug_checks` a data key not in the grid is an error, not a wrong slot."""
         gt = _as_table(grid)
         nr, nc = self.shape(node)
         stride = np.int64(max(nc, 1))
-        gkey = gt.rows * stride + gt.cols
         dkey = data.rows * stride + data.cols
-        pos = np.searchsorted(gkey, dkey)
-        vals = np.full(len(gkey), ZERO_PAYLOAD[data.sr], NUMPY_DTYPE[data.sr])
+        full = len(gt) == nr * nc
+        if not full or self.options.debug_checks:
+            gkey = gt.rows * stride + gt.cols
+            if self.options.debug_checks and not _find(gkey, dkey)[1].all():
+                raise EngineError("pad join: a data key is not in the grid")
+        pos = dkey if full else np.searchsorted(gkey, dkey)
+        vals = np.full(len(gt), ZERO_PAYLOAD[data.sr], NUMPY_DTYPE[data.sr])
         vals[pos] = data.vals
         return MatrixRelation(
             data.sr, nr, nc, gt.rows, gt.cols, vals, dense=True

@@ -23,6 +23,8 @@ from graphalg.engine import (
     ExecOptions,
     Executor,
     MatrixRelation,
+    TupleTable,
+    align_keys,
     assert_canonical,
     execute,
     first_per_row,
@@ -1142,3 +1144,238 @@ class TestDeterminism:
             options=ExecOptions(debug_checks=True),
         )
         assert_canonical(out)
+
+
+# ---------------------------------------------------------------------------
+# Key-aligned joins: a full or identical key run needs no sort, probe or
+# scatter, and gives what the general paths give, bitwise
+# ---------------------------------------------------------------------------
+
+# value columns of a pointwise join: both REAL zeros and NaN, so that a value
+# put in a wrong slot or rewritten shows in its bits
+POINTWISE_VALUES = {
+    B: st.booleans(),
+    I: st.integers(-3, 3),
+    R: st.sampled_from([0.0, -0.0, math.nan, 1.5, -1e16]),
+    T: st.sampled_from([0.0, math.inf, math.nan, 2.5]),
+}
+KEY_RUNS = (
+    "identical", "full-left", "full-right", "empty-left", "empty-right",
+    "disjoint", "interleaved", "subset",
+)
+
+
+@st.composite
+def pointwise_operands(draw):
+    """Two sorted unique key runs of a named kind over a 1x1 or rectangular
+    grid, as tables of one or two value columns each. "subset" is a right
+    run inside a left run that misses at least one key, so neither is full."""
+    nr, nc = draw(st.sampled_from([(1, 1), (1, 4), (5, 1), (3, 4), (4, 3)]))
+    every = list(range(nr * nc))
+    keys = st.lists(st.sampled_from(every), unique=True)
+    some, other = draw(keys), draw(keys)
+    kind = draw(st.sampled_from(KEY_RUNS))
+    left, right = {
+        "identical": (some, some),
+        "full-left": (every, some),
+        "full-right": (some, every),
+        "empty-left": ([], some),
+        "empty-right": (some, []),
+        "disjoint": (some, [k for k in other if k not in some]),
+        "interleaved": (some, other),
+        "subset": (every[1:], [k for k in some if k]),
+    }[kind]
+
+    def table(run):
+        key = np.array(sorted(run), np.int64)
+        tags = draw(st.lists(st.sampled_from([B, I, R, T]), min_size=1, max_size=2))
+        vals = [
+            np.array([draw(POINTWISE_VALUES[t]) for _ in key], NUMPY_DTYPE[t]) for t in tags
+        ]
+        return TupleTable(nr, nc, key // nc, key % nc, vals, tags, unique=True)
+
+    return kind, table(left), table(right)
+
+
+def _pointwise_reference(lt: TupleTable, rt: TupleTable):
+    """The pointwise join as a stable argsort of both key runs, for every
+    input: the union as (rows, cols), each side's slots, and the padded
+    value columns."""
+    stride = np.int64(lt.ncols)
+    lkey, rkey = lt.rows * stride + lt.cols, rt.rows * stride + rt.cols
+    keys = np.concatenate([lkey, rkey])
+    order = np.argsort(keys, kind="stable")
+    skeys = keys[order]
+    first = np.ones(len(skeys), np.bool_)
+    first[1:] = skeys[1:] != skeys[:-1]
+    union = skeys[first]
+    slot = np.empty(len(keys), np.int64)
+    slot[order] = np.cumsum(first) - 1
+    lslot, rslot = slot[: len(lkey)], slot[len(lkey):]
+    padded = []
+    for table, pos in ((lt, lslot), (rt, rslot)):
+        for col, tag in zip(table.vals, table.tags):
+            out = np.full(len(union), ZERO_PAYLOAD[tag], NUMPY_DTYPE[tag])
+            out[pos] = col
+            padded.append(out)
+    return union // stride, union % stride, lslot, rslot, padded
+
+
+def _executor(text: str, args: dict, debug_checks: bool = True) -> Executor:
+    pf = compile_source(text).plan_for("f")
+    return Executor(pf, CallBinding(args=args), ExecOptions(debug_checks=debug_checks))
+
+
+def _join_node(ex: Executor, pattern: str) -> PJoin:
+    return next(n for n in ex.pf.nodes if isinstance(n, PJoin) and n.pattern == pattern)
+
+
+POINTWISE_TEXT = """
+func f(a: Matrix<s, t, int>, b: Matrix<s, t, int>) -> Matrix<s, t, int> {
+    return a (.+) b;
+}
+"""
+
+MATVEC_TEXT = """
+func f(a: Matrix<s, t, SR>, b: Vector<t, SR>) -> Vector<s, SR> {
+    return a * b;
+}
+"""
+
+
+def _same_array(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+
+
+def _count_calls(monkeypatch, *names: str) -> list:
+    """Record the name of each call of the named `engine` functions."""
+    calls = []
+
+    def spy(name, inner):
+        def call(*args):
+            calls.append(name)
+            return inner(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(engine, name, spy(name, getattr(engine, name)))
+    return calls
+
+
+class TestKeyAlignedJoins:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(case=pointwise_operands())
+    def test_pointwise_union_equals_the_argsort_merge(self, case):
+        """The union, both sides' slots and the padded values equal the
+        stable argsort's, bitwise; aligned runs take a side as the union."""
+        kind, lt, rt = case
+        nr, nc = lt.nrows, lt.ncols
+        rows, cols, lslot, rslot, padded = _pointwise_reference(lt, rt)
+        stride = np.int64(nc)
+        got = align_keys(
+            lt, rt, lt.rows * stride + lt.cols, rt.rows * stride + rt.cols, nr * nc, stride
+        )
+        assert _same_array(got[0], rows) and _same_array(got[1], cols)
+        whole = np.arange(len(rows))
+        for slot, want in zip(got[2:], (lslot, rslot)):
+            assert np.array_equal(whole if slot is None else slot, want)
+        if kind == "identical":
+            assert got[2] is None and got[3] is None
+        if kind in ("full-left", "empty-right"):
+            assert got[2] is None
+        if kind in ("full-right", "empty-left"):
+            assert got[3] is None
+
+        empty = MatrixRelation.empty(I, nr, nc)
+        ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty})
+        table = ex._join_pointwise(_join_node(ex, "pointwise"), lt, rt)
+        assert _same_array(table.rows, rows) and _same_array(table.cols, cols)
+        assert table.tags == lt.tags + rt.tags and table.unique
+        assert len(table.vals) == len(padded)
+        for got_vals, want in zip(table.vals, padded):
+            assert _same_array(got_vals, want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(operands=matmul_operands(ncols=1), data=st.data())
+    def test_full_vector_pull_equals_the_probe(self, operands, data):
+        """Against a full one-column `b`, the table holds the probe's pairs
+        in the probe's order, and folds to the same relation; neither the
+        probe nor the cost rule runs."""
+        sr, a, b = operands
+        n = b.nrows
+        vals = np.array([data.draw(MATMUL_VALUES[sr]) for _ in range(n)], NUMPY_DTYPE[sr])
+        b = MatrixRelation(sr, n, 1, np.arange(n), np.zeros(n, np.int64), vals, dense=True)
+        left, right = pull_pairs(a, b)
+        ex = _executor(MATVEC_TEXT.replace("SR", sr.value), {"a": a, "b": b})
+        with pytest.MonkeyPatch.context() as m:
+            calls = _count_calls(m, "pull_pairs", "push_is_cheaper")
+            table = ex._join_matmul(_join_node(ex, "matmul"), a, b)
+            assert calls == []
+        assert _same_array(table.rows, a.rows[left])
+        assert _same_array(table.cols, b.cols[right])
+        assert _same_array(table.vals[0], a.vals[left])
+        assert _same_array(table.vals[1], b.vals[right])
+        want = fold_rowcol(sr, a.nrows, 1, a.rows[left], b.cols[right],
+                           vmul(sr, a.vals[left], b.vals[right]))[0]
+        got = fold_rowcol(sr, a.nrows, 1, table.rows, table.cols,
+                          vmul(sr, table.vals[0], table.vals[1]))[0]
+        assert rel_equal(got, want)
+
+    def test_vector_missing_a_row_takes_the_probe(self, monkeypatch):
+        a = MatrixRelation.from_tuples(R, 3, 4, [(0, 1, 2.0), (2, 3, 0.5)])
+        b = MatrixRelation.from_tuples(R, 4, 1, [(0, 0, 1.0), (1, 0, 3.0), (2, 0, 4.0)])
+        ex = _executor(MATVEC_TEXT.replace("SR", "real"), {"a": a, "b": b})
+        calls = _count_calls(monkeypatch, "pull_pairs")
+        table = ex._join_matmul(_join_node(ex, "matmul"), a, b)
+        assert calls == ["pull_pairs"]
+        assert table.rows.tolist() == [0] and table.vals[1].tolist() == [3.0]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 1), (3, 4)])
+    @pytest.mark.parametrize("full", [True, False])
+    def test_pad_equals_the_search(self, shape, full):
+        """A pad onto a full grid uses the data keys as slots; onto any grid
+        it gives what a search of the grid's keys gives."""
+        nr, nc = shape
+        rng = np.random.default_rng(nr * nc)
+        gkey = np.arange(nr * nc) if full else np.flatnonzero(rng.random(nr * nc) < 0.7)
+        grid = MatrixRelation(B, nr, nc, gkey // nc, gkey % nc, np.ones(len(gkey), np.bool_))
+        dkey = np.sort(rng.choice(gkey, size=len(gkey) // 2, replace=False))
+        data = MatrixRelation(R, nr, nc, dkey // nc, dkey % nc, rng.standard_normal(len(dkey)))
+        empty = MatrixRelation.empty(I, nr, nc)
+        ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty})
+        out = ex._join_pad(replace(_join_node(ex, "pointwise"), pattern="pad"), grid, data)
+        vals = np.zeros(len(gkey))
+        vals[np.searchsorted(gkey, dkey)] = data.vals
+        assert out.dense and out.rows is grid.rows and out.cols is grid.cols
+        assert _same_array(out.vals, vals)
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_pad_debug_check_rejects_a_key_not_in_the_grid(self, full):
+        gkey = np.arange(6) if full else np.array([0, 2, 3, 5])
+        grid = MatrixRelation(B, 3, 2, gkey // 2, gkey % 2, np.ones(len(gkey), np.bool_))
+        dkey = np.array([3, 6]) if full else np.array([1, 3])
+        data = MatrixRelation(R, 3, 2, dkey // 2, dkey % 2, np.array([1.0, 2.0]))
+        empty = MatrixRelation.empty(I, 3, 2)
+        for debug_checks in (True, False):
+            ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty}, debug_checks)
+            node = replace(_join_node(ex, "pointwise"), pattern="pad")
+            if debug_checks:
+                with pytest.raises(EngineError, match="not in the grid"):
+                    ex._join_pad(node, grid, data)
+            elif not full:
+                # unchecked, key 1 lands in the slot of key 2
+                assert ex._join_pad(node, grid, data).vals.tolist() == [0.0, 1.0, 2.0, 0.0]
+
+    def test_pagerank_merges_no_runs_on_the_grid(self, monkeypatch):
+        """pr's pointwise joins over the vertex domain all line up, so none
+        merges two key runs; wcc's `A (.+) A.T` does on a directed path. (The
+        grid has an edge each way, so there A and A.T have identical keys.)"""
+        graphs = structured_graphs()
+        n, edges, _ = graphs["grid_12x12"]
+        calls = _count_calls(monkeypatch, "merge_runs")
+        out, stats = run_stdlib("pr", make_graph_input(n, edges, "bool"), iterations=20)
+        assert calls == [] and len(out) == n
+        assert sum(stats.loop_iterations.values()) == 20
+        n, edges, _ = graphs["path"]
+        run_stdlib("wcc", make_graph_input(n, edges, "bool"))
+        assert calls

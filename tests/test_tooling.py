@@ -1,10 +1,12 @@
 """The test suite's own settings."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 PAIR = '''
 from hypothesis import given, settings, strategies as st
@@ -33,3 +35,27 @@ def test_failing_hypothesis_test_is_reported_like_any_other(tmp_path):
     out = run.stdout + run.stderr
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
+
+
+IMPORTS = '''
+from pathlib import Path
+
+import graphalg
+
+
+def test_imports_the_checkout():
+    assert Path(graphalg.__file__).resolve().is_relative_to(Path(SRC).resolve())
+'''
+
+
+def test_pytest_finds_the_package_without_pythonpath(tmp_path):
+    """`python -m pytest` in a fresh checkout imports `graphalg` from `src/`
+    with no PYTHONPATH set."""
+    (tmp_path / "test_import.py").write_text(IMPORTS.replace("SRC", repr(str(ROOT / "src"))))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(ROOT), str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert "1 passed" in run.stdout + run.stderr, run.stdout + run.stderr
