@@ -192,95 +192,107 @@ def build_binding(
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
+    """``graphalg run``. Running out of memory in any phase is one line
+    on stderr and exit 3."""
+    phase = "reading the program"
     try:
-        text = Path(ns.program).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read {ns.program}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        compiled = compile_source(
-            text, origin=ns.program, opt_level=ns.opt_level, dense_limit=ns.dense_limit
-        )
-    except GraphAlgError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_COMPILE
-    names = list(compiled.raw_plans)
-    func = ns.func or (names[0] if len(names) == 1 else None)
-    if func not in names:
-        problem = f"unknown function {func!r}" if func else "no --func given"
-        print(
-            f"{problem}: program declares {', '.join(names)}; choose one with --func",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        pf = compiled.plan_for(
-            func,
-            transform=lambda p: attach_preprocess(
-                p,
-                _graph_param_name(compiled, func),
-                drop_self_loops=ns.drop_self_loops,
-                dedup_edges=ns.dedup_edges,
-            ),
-        )
-    except GraphAlgError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_COMPILE
-
-    if ns.dump_core:
-        print(dump_core(compiled.core), end="")
-    if ns.dump_plan:
-        print(pretty_plan(pf), end="")
-    if not _executes(ns):
-        return EXIT_OK
-
-    try:
-        graph = load_graph(ns.vertices, ns.edges, ns.mode)
-    except GraphLoadError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RUNTIME
-    if graph.duplicate_edges:
-        print(
-            f"warning: combined {graph.duplicate_edges} duplicate edges",
-            file=sys.stderr,
-        )
-    if graph.ignored_weights:
-        print(
-            f"warning: ignored weights on {graph.ignored_weights} edges in bool mode",
-            file=sys.stderr,
-        )
-
-    try:
-        binding, _ = build_binding(
-            compiled, func, graph, ns.source, ns.damping, ns.iters
-        )
-    except (BindingError, GraphLoadError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result, stats = execute(
-            pf, binding, ExecOptions(dense_limit=ns.dense_limit)
-        )
-    except DenseLimitError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_COMPILE
-    except (EngineError, BindingError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RUNTIME
-
-    if ns.output:
         try:
-            write_result(result, graph.ext_ids, ns.output)
-        except OSError as exc:
-            print(f"cannot write {ns.output}: {exc.strerror or exc}", file=sys.stderr)
+            text = Path(ns.program).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read {ns.program}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        phase = "compiling"
+        try:
+            compiled = compile_source(
+                text, origin=ns.program, opt_level=ns.opt_level, dense_limit=ns.dense_limit
+            )
+        except GraphAlgError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_COMPILE
+        names = list(compiled.raw_plans)
+        func = ns.func or (names[0] if len(names) == 1 else None)
+        if func not in names:
+            problem = f"unknown function {func!r}" if func else "no --func given"
+            print(
+                f"{problem}: program declares {', '.join(names)}; choose one with --func",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        try:
+            pf = compiled.plan_for(
+                func,
+                transform=lambda p: attach_preprocess(
+                    p,
+                    _graph_param_name(compiled, func),
+                    drop_self_loops=ns.drop_self_loops,
+                    dedup_edges=ns.dedup_edges,
+                ),
+            )
+        except GraphAlgError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_COMPILE
+
+        if ns.dump_core:
+            print(dump_core(compiled.core), end="")
+        if ns.dump_plan:
+            print(pretty_plan(pf), end="")
+        if not _executes(ns):
+            return EXIT_OK
+
+        phase = "loading the graph"
+        try:
+            graph = load_graph(ns.vertices, ns.edges, ns.mode)
+        except GraphLoadError as exc:
+            print(str(exc), file=sys.stderr)
             return EXIT_RUNTIME
-        if ns.stats:
-            print(stats.to_text(), end="")
-    else:
-        write_result(result, graph.ext_ids, sys.stdout)
-        if ns.stats:
-            print(stats.to_text(), end="", file=sys.stderr)
-    return EXIT_OK
+        if graph.duplicate_edges:
+            print(
+                f"warning: combined {graph.duplicate_edges} duplicate edges",
+                file=sys.stderr,
+            )
+        if graph.ignored_weights:
+            print(
+                f"warning: ignored weights on {graph.ignored_weights} edges in bool mode",
+                file=sys.stderr,
+            )
+
+        phase = "binding the arguments"
+        try:
+            binding, _ = build_binding(
+                compiled, func, graph, ns.source, ns.damping, ns.iters
+            )
+        except (BindingError, GraphLoadError) as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_USAGE
+        phase = "executing"
+        try:
+            result, stats = execute(
+                pf, binding, ExecOptions(dense_limit=ns.dense_limit)
+            )
+        except DenseLimitError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_COMPILE
+        except (EngineError, BindingError) as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_RUNTIME
+
+        phase = "writing the result"
+        if ns.output:
+            try:
+                write_result(result, graph.ext_ids, ns.output)
+            except OSError as exc:
+                print(f"cannot write {ns.output}: {exc.strerror or exc}", file=sys.stderr)
+                return EXIT_RUNTIME
+            if ns.stats:
+                print(stats.to_text(), end="")
+        else:
+            write_result(result, graph.ext_ids, sys.stdout)
+            if ns.stats:
+                print(stats.to_text(), end="", file=sys.stderr)
+        return EXIT_OK
+    except MemoryError:
+        print(f"out of memory while {phase}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def _executes(ns: argparse.Namespace) -> bool:

@@ -145,12 +145,42 @@ def _parse(path, dtype, usecols) -> np.ndarray:
         raise _Rejected from exc
 
 
-def _remap(ext_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Internal indices of external ids; rejects an unknown id."""
-    pos = np.searchsorted(ext_ids, ids)
-    if len(ids) and (not len(ext_ids) or (ext_ids.take(pos, mode="clip") != ids).any()):
-        raise _Rejected
-    return pos
+# `_remap`'s id table is used while the largest of n vertex ids is below
+# TABLE_SLOTS * (n + 128) = 8n + 1024
+TABLE_SLOTS = 8
+
+
+def _remap(ext_ids: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+    """Internal indices of the external ids in each column; rejects an
+    unknown id.
+
+    While the largest vertex id ``top`` is below ``8n + 1024``, the ids
+    index a table of ``top + 1`` int64 slots: ``lut[ext_ids[i]] = i`` and
+    -1 elsewhere. An endpoint above ``top``, or one that reads -1, is
+    unknown. The table takes at most 64n + 8 KiB, is built once for both
+    columns, and is freed on return, before the duplicate fold. Ids span
+    [0, 2^64), so a sparser id range, ids near 2^64 say, keeps
+    ``searchsorted`` into the sorted ids: O(log n) per endpoint, and no
+    memory beyond its output. Both give the same int64 indices.
+    """
+    top = int(ext_ids[-1]) if len(ext_ids) else -1
+    if top >= TABLE_SLOTS * (len(ext_ids) + 128):
+        out = [np.searchsorted(ext_ids, ids) for ids in columns]
+        if any((ext_ids.take(pos, mode="clip") != ids).any() for ids, pos in zip(columns, out)):
+            raise _Rejected
+        return out
+    lut = np.full(top + 1, -1, np.int64)
+    lut[ext_ids.view(np.int64)] = np.arange(len(ext_ids))
+    out = []
+    for ids in columns:
+        if len(ids) and int(ids.max()) > top:
+            raise _Rejected
+        # every id is at most top < 2^63, so its bits read the same as int64
+        pos = lut[ids.view(np.int64)]
+        if (pos < 0).any():
+            raise _Rejected
+        out.append(pos)
+    return out
 
 
 def _load_arrays(vertex_file, edge_file, mode: str) -> GraphInput:
@@ -177,8 +207,7 @@ def _load_arrays(vertex_file, edge_file, mode: str) -> GraphInput:
         usecols = None  # exactly two columns on every line
     table = _parse(edge_file, fields, usecols) if width else np.empty(0, fields)
 
-    rows = _remap(ext_ids, table["src"])
-    cols = _remap(ext_ids, table["dst"])
+    rows, cols = _remap(ext_ids, table["src"], table["dst"])
     if mode == "bool":
         vals = np.ones(len(table), np.bool_)
         ignored = len(table) if width > 2 else 0

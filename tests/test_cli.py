@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import graphalg
+from graphalg import cli
 from graphalg.cli import main, preprocess_fragment
 from graphalg.engine import CallBinding, ExecOptions, MatrixRelation, execute, rel_equal
 from graphalg.harness import identity_labels, make_graph_input, oracle_check
@@ -255,6 +256,26 @@ class TestRun:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"cannot write {out}: ")
+
+    @pytest.mark.parametrize("name, phase", [
+        ("compile_source", "compiling"),
+        ("load_graph", "loading the graph"),
+        ("build_binding", "binding the arguments"),
+        ("execute", "executing"),
+        ("write_result", "writing the result"),
+    ])
+    def test_out_of_memory_is_one_line(
+        self, program_file, graph_files, monkeypatch, capsys, name, phase
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, name, exhausted)
+        v, e = graph_files
+        code = main(["run", str(program_file), "--vertices", str(v), "--edges", str(e),
+                     "--source", "10"])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [f"out of memory while {phase}"]
 
     @pytest.mark.parametrize("dump", [False, True])
     def test_unknown_function_is_usage_error(self, program_file, graph_files, dump):

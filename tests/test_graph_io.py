@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from graphalg import graph_io
 from graphalg.engine import MatrixRelation, rel_equal
 from graphalg.errors import GraphLoadError
 from graphalg.graph_io import (
@@ -249,6 +250,63 @@ class TestArrayParse:
             except _Rejected:
                 continue
             assert got == want, mode
+
+
+# The id table takes n vertices while the largest id is below this bound
+def table_bound(n: int) -> int:
+    return graph_io.TABLE_SLOTS * (n + 128)
+
+
+def id_case(top: int, edges: str):
+    """Vertices 0, 5 and `top`, in that order, and an edge file."""
+    return f"0\n5\n{top}\n", edges.replace("TOP", str(top))
+
+
+EDGES = "0 5 1.5\n5 TOP 2.5\nTOP 0 0.5\n0 5 3\n"
+
+
+class TestIdTable:
+    """`_remap` takes the id table below `8n + 1024` and `searchsorted` from
+    there on; both must give the line loop's graph or its message."""
+
+    @pytest.mark.parametrize("vertices, edges, searches, message", [
+        ("".join(f"{i}\n" for i in range(6)), "0 1 1\n5 0 2\n3 3 3\n0 1 4\n", 0, None),
+        (*id_case(table_bound(3) - 1, EDGES), 0, None),
+        (*id_case(table_bound(3), EDGES), 2, None),
+        (*id_case(2**64 - 1, EDGES), 2, None),
+        # an unknown endpoint inside the table's range reads -1
+        (*id_case(10, "0 5 1\n5 7 1\n"), 0, "g.e:2: unknown endpoint id 7"),
+        (*id_case(table_bound(3) - 1, "0 5 1\nTOP 3 1\n"), 0, "g.e:2: unknown endpoint id 3"),
+        # an endpoint past the largest vertex id is past the table
+        (*id_case(10, "0 5 1\n5 0 1\n10 11 1\n"), 0, "g.e:3: unknown endpoint id 11"),
+        (*id_case(10, "0 18446744073709551615 1\n"), 0,
+         "g.e:1: unknown endpoint id 18446744073709551615"),
+        (*id_case(table_bound(3), "0 5 1\n7 5 1\n"), 2, "g.e:2: unknown endpoint id 7"),
+        ("", "1 2 1\n", 0, "g.e:1: unknown endpoint id 1"),
+    ])
+    def test_both_paths_match_the_line_loop(
+        self, tmp_path, monkeypatch, vertices, edges, searches, message
+    ):
+        v, e = files(tmp_path, vertices, edges)
+        calls = []
+        searchsorted = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        for mode in ALL:
+            want = outcome(_load_lines, v, e, mode)
+            calls.clear()
+            if message is None:
+                assert outcome(_load_arrays, v, e, mode) == want, mode
+            else:
+                with pytest.raises(_Rejected):
+                    _load_arrays(v, e, mode)
+                assert want == f"load error: {tmp_path}/{message}"
+            assert len(calls) == searches, mode
+            assert outcome(load_graph, v, e, mode) == want, mode
 
 
 # Tokens numpy and Python read alike, and (ODD_) tokens they read differently or not at all

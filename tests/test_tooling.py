@@ -1,5 +1,6 @@
-"""The test suite's own settings."""
+"""The test suite's own settings, and the performance records at the root."""
 
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +60,25 @@ def test_pytest_finds_the_package_without_pythonpath(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert "1 passed" in run.stdout + run.stderr, run.stdout + run.stderr
+
+
+def test_bench_records_name_benchmark_workloads_and_metrics():
+    """Every root `BENCH_*.json` parses, names only workloads and metrics
+    that `BENCHMARK.json` declares, holds a parent and a change value for
+    each metric, and, where it records output digests, equal ones."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"] + bench["per_layer"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert record["workloads"] and set(record["workloads"]) <= workloads, path.name
+        for name, workload in record["workloads"].items():
+            assert workload["metrics"], (path.name, name)
+            for metric, values in workload["metrics"].items():
+                assert metric in metrics, (path.name, name, metric)
+                for side in ("parent", "change"):
+                    assert isinstance(values[side], (int, float)), (path.name, name, metric, side)
+            if "digest" in workload:
+                assert workload["digest"]["parent"] == workload["digest"]["change"], (path.name, name)
