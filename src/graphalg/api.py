@@ -20,7 +20,6 @@ class Compiled:
     core: CoreProgram  # after the sparsity pass
     raw_plans: dict[str, PlanFunction]  # compiled, not yet loop-optimized
     opt_level: int = 2
-    dense_limit: int = DEFAULT_DENSE_LIMIT
     _plan_cache: dict[str, PlanFunction] = field(default_factory=dict)
 
     def plan_for(
@@ -70,7 +69,6 @@ def compile_source(
         core=core,
         raw_plans=compile_program(core),
         opt_level=opt_level,
-        dense_limit=dense_limit,
     )
 
 

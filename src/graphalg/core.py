@@ -2,8 +2,9 @@
 
 Core is the substrate for analysis, optimization and plan translation:
 matrix variables, transpose, diag, pointwise application, matrix multiply,
-one-vectors, zero matrices, bounded loops with simultaneous state, and
-pickAny. Lowering removes every surface-only construct:
+one-vectors, zero matrices, bounded loops with simultaneous state (one
+loop per source loop, whose other states are read through `CLoopState`),
+and pickAny. Lowering removes every surface-only construct:
 
 * ``A += E``       becomes ``A = apply(add, A, E)``
 * ``A<M> = B``     becomes ``A = apply(select, M, B, A)``
@@ -106,12 +107,21 @@ class CDensify(CoreExpr):
 
 @dataclass(frozen=True, eq=False)
 class CForLoop(CoreExpr):
-    """Bounded loop; the result is the final value of the first state."""
+    """Bounded loop over every state of one source loop, updated
+    simultaneously; the result is the final value of the first state."""
 
     bound: Dim = None
     states: tuple = ()  # tuple of (name, init CoreExpr)
     body: tuple = ()  # tuple of (name, update CoreExpr), same order
     index_name: Optional[str] = None
+
+
+@dataclass(frozen=True, eq=False)
+class CLoopState(CoreExpr):
+    """The final value of a loop's state `name`, other than its first."""
+
+    loop: CForLoop = None
+    name: str = ""
 
 
 @dataclass
@@ -260,17 +270,16 @@ class _Lowerer:
         inner.stmts(st.body)
         updates = {n: inner.env[n] for n in state_names}
 
-        # Core loops return their first state; materialize one loop per
-        # state so later reads of any state see its final value.
-        for result_name in state_names:
-            order = [result_name] + [n for n in state_names if n != result_name]
-            self.env[result_name] = CForLoop(
-                ty=inits[result_name].ty,
-                bound=bound,
-                states=tuple((unique[n], inits[n]) for n in order),
-                body=tuple((unique[n], updates[n]) for n in order),
-                index_name=index_name,
-            )
+        loop = CForLoop(
+            ty=inits[state_names[0]].ty,
+            bound=bound,
+            states=tuple((unique[n], inits[n]) for n in state_names),
+            body=tuple((unique[n], updates[n]) for n in state_names),
+            index_name=index_name,
+        )
+        self.env[state_names[0]] = loop
+        for n in state_names[1:]:
+            self.env[n] = CLoopState(ty=inits[n].ty, loop=loop, name=unique[n])
 
     # -- expressions --
 
@@ -471,6 +480,12 @@ def validate_core(cp: CoreProgram) -> list[str]:
                 check(init, bound, fname)
                 check(update, inner, fname)
             return
+        if isinstance(e, CLoopState):
+            states = dict(e.loop.states[1:]) if isinstance(e.loop, CForLoop) else {}
+            if e.name not in states or states[e.name].ty != e.ty:
+                violations.append(f"{fname}: no loop state {e.name!r} of type {e.ty}")
+            check(e.loop, bound, fname)
+            return
         violations.append(f"{fname}: unknown Core node {type(e).__name__}")
 
     for fname, fn in cp.functions.items():
@@ -531,6 +546,8 @@ def _fmt(e: CoreExpr) -> str:
         body = " ".join(f"({n} {_fmt(update)})" for n, update in e.body)
         idx = e.index_name or "_"
         return f"(for {e.bound} {idx} ({states}) ({body}))"
+    if isinstance(e, CLoopState):
+        return f"(loopstate {e.name} {_fmt(e.loop)})"
     return repr(e)
 
 

@@ -9,12 +9,16 @@ orders) produce bitwise-identical canonical outputs.
 
 The Loop operator evaluates its hoisted subplans once, then one body
 subplan per state variable against the previous iteration's states, and
-commits all states at once. Each iteration starts from a memo that holds
-the hoisted values, so the bodies read them instead of recomputing. States
-rewritten for in-place aggregation keep a persistent state and add each
-iteration's delta into it (`merge_in_place`); the merge also returns the
-change set, and when fixpoint checking is enabled, an iteration whose
-merges change nothing terminates the loop early. A state marked
+commits all states at once. It returns its first state and leaves the
+others in the memo of its scope (a call, or an iteration of an enclosing
+loop), where LoopState nodes read them, so it runs once per scope. Each
+iteration starts from a memo that holds the hoisted values, so the bodies
+read them instead of recomputing. States rewritten for in-place
+aggregation keep a persistent state and add each iteration's delta into
+it (`merge_in_place`); the merge also returns the change set. When
+fixpoint checking is enabled, an iteration whose merges change nothing
+and whose replaced states are `rel_equal` to the last ones terminates the
+loop early. A state marked
 semi-naive is read by its body as that change set (the init in the first
 iteration), not as the whole state; the loop still observes and returns
 the whole states. A semi-naive state of one column turns, once it holds
@@ -66,12 +70,14 @@ import numpy as np
 
 from . import ast as A
 from .errors import BindingError, DenseLimitError, EngineError
+from .optimizer import DEFAULT_DENSE_LIMIT
 from .plan import (
     DENSE,
     PAggregate,
     PConstant,
     PJoin,
     PLoop,
+    PLoopState,
     PMap,
     PScanArg,
     PScanDomain,
@@ -385,7 +391,7 @@ class CallBinding:
 
 @dataclass
 class ExecOptions:
-    dense_limit: int = 50_000_000
+    dense_limit: int = DEFAULT_DENSE_LIMIT
     debug_checks: bool = False
     disable_fixpoint: bool = False
     iteration_observer: Optional[Callable[[int, int, dict], None]] = None
@@ -881,6 +887,9 @@ class Executor:
             return self._eval_aggregate(node, env, memo)
         if isinstance(node, PLoop):
             return self._eval_loop(node, env, memo)
+        if isinstance(node, PLoopState):
+            self.eval(node.loop, env, memo)
+            return memo[id(node.loop), node.name]
         raise EngineError(f"cannot evaluate node {type(node).__name__}")
 
     def _eval_map(self, node: PMap, env: dict, memo: dict):
@@ -1000,21 +1009,15 @@ class Executor:
         return TupleTable(nr, nc, rows, cols, [], [], unique=True)
 
     def _join_pad(self, node: PJoin, grid, data: MatrixRelation):
-        """`data`'s values on the grid's keys, the identity elsewhere. A full
-        grid holds key k at position k, so a data key is its own slot. Under
-        `debug_checks` a data key not in the grid is an error, not a wrong slot."""
+        """`data`'s values on the grid's keys, the identity elsewhere. The
+        grid is a domain scan or a cross of two, so it is full: key k sits at
+        position k, and a data key is its own slot."""
         gt = _as_table(grid)
         nr, nc = self.shape(node)
-        stride = np.int64(max(nc, 1))
-        dkey = data.rows * stride + data.cols
-        full = len(gt) == nr * nc
-        if not full or self.options.debug_checks:
-            gkey = gt.rows * stride + gt.cols
-            if self.options.debug_checks and not _find(gkey, dkey)[1].all():
-                raise EngineError("pad join: a data key is not in the grid")
-        pos = dkey if full else np.searchsorted(gkey, dkey)
+        if len(gt) != nr * nc:
+            raise EngineError(f"pad join: the grid holds {len(gt)} of {nr * nc} keys")
         vals = np.full(len(gt), ZERO_PAYLOAD[data.sr], NUMPY_DTYPE[data.sr])
-        vals[pos] = data.vals
+        vals[data.rows * np.int64(max(nc, 1)) + data.cols] = data.vals
         return MatrixRelation(
             data.sr, nr, nc, gt.rows, gt.cols, vals, dense=True
         )
@@ -1108,6 +1111,8 @@ class Executor:
             if check_fixpoint and not changed_any:
                 self.stats.fixpoint_exits += 1
                 break
+        for name in names[1:]:
+            memo[id(node), name] = as_relation(states[name])
         return as_relation(states[names[0]])
 
 

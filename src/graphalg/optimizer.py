@@ -5,8 +5,9 @@ Sparsity runs on Core: matrices stay sparse by default, and an operation
 whose pointwise function does not map all-zeros to zero gets explicitly
 densified inputs. The loop passes run on plans. A loop state updated as
 `v + d` (`v += d`) becomes a persistent accumulation table that the
-engine adds d to in place (`_rewrite_state_inplace`), which also makes
-the loop eligible for early fixpoint exit. An in-place state whose
+engine adds d to in place (`_rewrite_state_inplace`). Every loop whose
+bodies do not read its index gets the fixpoint exit (`inplace_agg_pass`
+states why it is sound). An in-place state whose
 addition is idempotent (bool, trop) and whose body is linear in it is
 marked semi-naive: its body then reads only the tuples the last merge
 changed (`_seminaive` states the condition and why it is sound). Then every maximal subplan of a loop
@@ -28,6 +29,7 @@ from .core import (
     CDensify,
     CDiag,
     CForLoop,
+    CLoopState,
     CMatMul,
     COneVector,
     CPickAny,
@@ -45,6 +47,7 @@ from .plan import (
     PConstant,
     PJoin,
     PLoop,
+    PLoopState,
     PMap,
     PScanArg,
     PScanDomain,
@@ -122,7 +125,7 @@ def sparsity_pass(
         if id(e) in memo:
             return memo[id(e)]
         out = _go(e)
-        if densify_all and not isinstance(out, (CForLoop,)):
+        if densify_all and not isinstance(out, (CForLoop, CLoopState)):
             out = densify(out, "intermediate result")
         memo[id(e)] = out
         return out
@@ -149,6 +152,8 @@ def sparsity_pass(
             states = tuple((n, go(init)) for n, init in e.states)
             body = tuple((n, go(update)) for n, update in e.body)
             return replace(e, states=states, body=body)
+        if isinstance(e, CLoopState):
+            return replace(e, loop=go(e.loop))
         raise TypeError(f"unknown Core node {type(e).__name__}")
 
     functions = {}
@@ -250,16 +255,17 @@ def licm_pass(pf: PlanFunction) -> PlanFunction:
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_state_inplace(loop: PLoop, i: int) -> PLoop | None:
+def _rewrite_state_inplace(loop: PLoop, i: int, wrappers: dict) -> PLoop | None:
     """Merge state i in place when its body is `v + d`.
 
     That is the plan of `v += d` and `v = v + d`: a map computing `v0 + v1`
     over a pointwise join of two single-column relations, exactly one of
     which scans the state. The body becomes the delta d, which the engine
     adds to the persistent state (the outer join pads a missing side with
-    the identity, which is what the merge does too). An aggregate or a
-    loop already yields a relation with unique keys and is merged as is;
-    any other delta is folded by `Aggregate(rowcol, add)` first.
+    the identity, which is what the merge does too). An aggregate, a loop
+    or a loop state already yields a relation with unique keys and is
+    merged as is; any other delta is folded by `Aggregate(rowcol, add)`
+    first, one such node per delta node in `wrappers` (keyed by its id).
     """
     name = loop.states[i][0]
     body = loop.bodies[i]
@@ -278,13 +284,16 @@ def _rewrite_state_inplace(loop: PLoop, i: int) -> PLoop | None:
     if scans.count(True) != 1:
         return None
     delta = sides[scans.index(False)]
-    if not isinstance(delta, (PAggregate, PLoop)):
-        delta = PAggregate(ty=body.ty, input=delta, group_by="rowcol", combine="add")
+    if not isinstance(delta, (PAggregate, PLoop, PLoopState)):
+        delta = wrappers.setdefault(
+            id(delta),
+            PAggregate(ty=body.ty, input=delta, group_by="rowcol", combine="add"),
+        )
     bodies = list(loop.bodies)
     bodies[i] = delta
     inplace = list(loop.inplace)
     inplace[i] = True
-    return replace(loop, bodies=tuple(bodies), inplace=tuple(inplace), fixpoint=True)
+    return replace(loop, bodies=tuple(bodies), inplace=tuple(inplace))
 
 
 # states whose addition is idempotent: bool or, trop min
@@ -370,9 +379,19 @@ def _seminaive(loop: PLoop, i: int) -> bool:
 
 
 def inplace_agg_pass(pf: PlanFunction) -> PlanFunction:
-    """Turn self-accumulating loop states into in-place merges, enable
-    fixpoint early exit on the rewritten loops, and mark the in-place
-    states that qualify for semi-naive evaluation (`_seminaive`)."""
+    """Turn self-accumulating loop states into in-place merges, mark the
+    in-place states that qualify for semi-naive evaluation (`_seminaive`),
+    and enable the fixpoint exit, on every loop whose bodies do not read
+    the loop index.
+
+    Soundness of the exit: such a loop is a pure function of its states and
+    the invariants it reads, and the engine is deterministic. So if one
+    iteration leaves every state bitwise equal, every later iteration does
+    too, and stopping there returns the states the bound would. The engine
+    compares a replaced state with `rel_equal`; an in-place state is
+    unchanged when its change set is empty.
+    """
+    wrappers: dict[int, PlanNode] = {}
 
     def fn(node: PlanNode) -> PlanNode | None:
         if not isinstance(node, PLoop):
@@ -387,11 +406,11 @@ def inplace_agg_pass(pf: PlanFunction) -> PlanFunction:
             ):
                 return loop
         for i in range(len(loop.states)):
-            out = _rewrite_state_inplace(loop, i)
+            out = _rewrite_state_inplace(loop, i, wrappers)
             if out is not None:
                 loop = out
         seminaive = tuple(_seminaive(loop, i) for i in range(len(loop.states)))
-        return replace(loop, seminaive=seminaive)
+        return replace(loop, seminaive=seminaive, fixpoint=True)
 
     return finalize(replace(pf, root=rewrite(pf.root, fn)))
 

@@ -2,10 +2,10 @@
 
 Core compiles to a DAG of plan nodes. Matrix multiplication becomes
 join + map + aggregate, pointwise application becomes an n-way outer join
-with identity padding followed by a map, and bounded loops become a Loop
-node carrying named state relations, one body subplan per state, and a
-single output (the first state). Equal subplans are one node: `share`
-merges them after translation.
+with identity padding followed by a map, and a bounded loop becomes one
+Loop node carrying named state relations and one body subplan per state.
+Its output is the first state; a LoopState node reads any other one.
+Equal subplans are one node: `share` merges them after translation.
 
 Join patterns fix the attribute plumbing:
 
@@ -28,6 +28,7 @@ from .core import (
     CDensify,
     CDiag,
     CForLoop,
+    CLoopState,
     CMatMul,
     COneVector,
     CPickAny,
@@ -145,6 +146,14 @@ class PLoop(PlanNode):
     hoisted: tuple = ()
 
 
+@dataclass(frozen=True, eq=False)
+class PLoopState(PlanNode):
+    """The final value of state `name` of `loop`, other than its first."""
+
+    loop: PLoop = None
+    name: str = ""
+
+
 @dataclass
 class PlanFunction:
     name: str
@@ -168,12 +177,10 @@ def val_tags(node: PlanNode) -> tuple[SemiringTag, ...]:
 def children(node: PlanNode) -> tuple[PlanNode, ...]:
     if isinstance(node, PJoin):
         return (node.left, node.right)
-    if isinstance(node, (PMap,)):
+    if isinstance(node, (PMap, PAggregate, PTranspose)):
         return (node.input,)
-    if isinstance(node, PAggregate):
-        return (node.input,)
-    if isinstance(node, PTranspose):
-        return (node.input,)
+    if isinstance(node, PLoopState):
+        return (node.loop,)
     if isinstance(node, PLoop):
         return (
             tuple(p for _, p in node.hoisted)
@@ -290,6 +297,8 @@ class _Compiler:
                 index_name=e.index_name,
                 inplace=tuple(False for _ in states),
             )
+        if isinstance(e, CLoopState):
+            return PLoopState(ty=e.ty, loop=self.plan(e.loop), name=e.name)
         raise CompileError(f"cannot compile Core node {type(e).__name__}")
 
     def _domain_grid(self, ty: MatrixType) -> PlanNode:
@@ -383,6 +392,8 @@ def _describe(node: PlanNode, pf: PlanFunction) -> str:
         )
     if isinstance(node, PTranspose):
         return f"#{nid} Transpose[{shape}, {node.mark}]"
+    if isinstance(node, PLoopState):
+        return f"#{nid} LoopState({node.name})[{shape}:{node.ty.sr}, {node.mark}]"
     if isinstance(node, PLoop):
         names = ",".join(n for n, _ in node.states)
         inplace = ",".join(n for (n, _), f in zip(node.states, node.inplace) if f)
@@ -452,12 +463,10 @@ def _with_children(n: PlanNode, new: tuple) -> PlanNode:
         return n
     if isinstance(n, PJoin):
         return replace(n, left=new[0], right=new[1])
-    if isinstance(n, PMap):
+    if isinstance(n, (PMap, PAggregate, PTranspose)):
         return replace(n, input=new[0])
-    if isinstance(n, PAggregate):
-        return replace(n, input=new[0])
-    if isinstance(n, PTranspose):
-        return replace(n, input=new[0])
+    if isinstance(n, PLoopState):
+        return replace(n, loop=new[0])
     if isinstance(n, PLoop):
         nh = len(n.hoisted)
         ns = len(n.states)
@@ -503,8 +512,7 @@ def share(root: PlanNode) -> PlanNode:
     the same children compute the same relation in the same environment.
     And a scan reads the same binding wherever it occurs, because loop
     state and index names are unique: lowering gives every loop fresh
-    names, and the per-state copies of one loop bind them to the same
-    values. The engine memoizes by node, so a shared node runs once per
+    names. The engine memoizes by node, so a shared node runs once per
     scope (per call, or per loop iteration).
     """
     table: dict[tuple, PlanNode] = {}

@@ -18,6 +18,7 @@ from graphalg.core import (
     CDensify,
     CDiag,
     CForLoop,
+    CLoopState,
     CMatMul,
     COneVector,
     CPickAny,
@@ -418,16 +419,20 @@ class CoreEvaluator:
                     out.set(i, j, self.scalar(e.fn.body, scope, tags)[0])
             return out
         if isinstance(e, CForLoop):
-            states = {n: self.eval(init, env) for n, init in e.states}
-            for it in range(self.size(e.bound)):
-                inner = dict(env)
-                inner.update(states)
-                if e.index_name:
-                    inner[e.index_name] = scalar_mat(I, it)
-                new = {n: self.eval(update, inner) for n, update in e.body}
-                states = new
-            return states[e.states[0][0]]
+            return self.final_states(e, env)[e.states[0][0]]
+        if isinstance(e, CLoopState):
+            return self.final_states(e.loop, env)[e.name]
         raise TypeError(e)
+
+    def final_states(self, e: CForLoop, env) -> dict[str, RefMat]:
+        states = {n: self.eval(init, env) for n, init in e.states}
+        for it in range(self.size(e.bound)):
+            inner = dict(env)
+            inner.update(states)
+            if e.index_name:
+                inner[e.index_name] = scalar_mat(I, it)
+            states = {n: self.eval(update, inner) for n, update in e.body}
+        return states
 
     def scalar(self, expr, scope, tags):
         if isinstance(expr, SVar):

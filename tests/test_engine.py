@@ -46,8 +46,22 @@ from graphalg.errors import (
     EngineError,
 )
 from graphalg import engine
-from graphalg.harness import make_graph_input, run_stdlib, source_vector, structured_graphs
-from graphalg.plan import PAggregate, PJoin, PLoop, PlanFunction, finalize
+from graphalg.harness import (
+    er_graph,
+    make_graph_input,
+    run_stdlib,
+    source_vector,
+    structured_graphs,
+)
+from graphalg.plan import (
+    PAggregate,
+    PJoin,
+    PLoop,
+    PLoopState,
+    PlanFunction,
+    children,
+    finalize,
+)
 from graphalg.semiring import NUMPY_DTYPE, SemiringTag, ZERO_PAYLOAD, vmul
 
 B, I, R, T = SemiringTag.BOOL, SemiringTag.INT, SemiringTag.REAL, SemiringTag.TROP
@@ -181,6 +195,18 @@ func f(a: Vector<s, real>, b: Vector<s, real>) -> Vector<s, real> {
         assert out.to_dict()[(1, 0)] == 1.5
 
 
+def _reachable(roots) -> list:
+    """Every plan node reachable from `roots`, each once."""
+    seen: dict[int, object] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(children(node))
+    return list(seen.values())
+
+
 class TestLoopShapes:
     """Loop forms the random generator does not produce."""
 
@@ -198,17 +224,20 @@ class TestLoopShapes:
             ref_args[name] = ref
         expected = eval_surface(typed, func, ref_args, dims)
         for level in (0, 1, 2):
-            out, _ = run_source(
-                text,
-                func,
-                CallBinding(args=dict(args), dims=dims),
-                opt_level=level,
-                options=ExecOptions(debug_checks=True),
-            )
-            equal, msg = canonical_equal(
-                expected.sr, expected.canonical(), rel_canonical(out)
-            )
-            assert equal, f"O{level}: {msg}"
+            for disable_fixpoint in (False, True):
+                out, _ = run_source(
+                    text,
+                    func,
+                    CallBinding(args=dict(args), dims=dims),
+                    opt_level=level,
+                    options=ExecOptions(
+                        debug_checks=True, disable_fixpoint=disable_fixpoint
+                    ),
+                )
+                equal, msg = canonical_equal(
+                    expected.sr, expected.canonical(), rel_canonical(out)
+                )
+                assert equal, f"O{level}, disable_fixpoint={disable_fixpoint}: {msg}"
 
     def test_nested_loops(self):
         text = """
@@ -260,6 +289,83 @@ func f(v: Vector<s, int>, w: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, 
                     isinstance(n, PAggregate) and n.input is hoisted for n in pf.nodes
                 )
         self._differential(text, "f", {"v": v, "w": w, "G": g}, {"s": 3})
+
+    TWO_STATES = """
+func f(G: Matrix<s, s, bool>, a: Vector<s, bool>) -> Vector<s, bool> {
+    x = a;
+    y = a;
+    for i in 0..s {
+        x += y * G;
+        y += x * G;
+    }
+    return %s;
+}
+"""
+
+    @staticmethod
+    def _small_graph():
+        n, edges, src = er_graph(3)
+        return n, {"G": make_graph_input(n, edges, "bool").adjacency, "a": source_vector(n, src, B)}
+
+    @pytest.mark.parametrize("result", ["x (.+) y", "y"])
+    def test_two_state_loop_runs_once(self, result):
+        """One loop node runs both states: each body aggregate runs once per
+        iteration, whichever states the code after the loop reads."""
+        text = self.TWO_STATES % result
+        n, args = self._small_graph()
+        for level in (0, 1, 2):
+            pf = compile_source(text, opt_level=level).plan_for("f")
+            (loop,) = [node for node in pf.nodes if isinstance(node, PLoop)]
+            assert isinstance(pf.root, PLoopState) is (result == "y")
+            _, stats = execute(pf, CallBinding(args=dict(args)))
+            (iterations,) = stats.loop_iterations.values()
+            body = {id(node) for node in _reachable(loop.bodies)}
+            counts = [
+                stats.aggregations_executed[pf.node_id(node)]
+                for node in pf.nodes
+                if isinstance(node, PAggregate) and id(node) in body
+            ]
+            assert len(counts) == 2 and set(counts) == {iterations}
+        self._differential(text, "f", args, {"s": n})
+
+    def test_inner_loop_state_hoisted(self):
+        """An invariant two-state inner loop inside a three-state outer loop:
+        LICM hoists its LoopState, and each loop runs once per scope."""
+        text = """
+func f(a: Vector<s, int>, b: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, int> {
+    x = a;
+    y = b;
+    z = a;
+    for i in 0..3 {
+        p = a;
+        q = b;
+        for j in 0..2 {
+            p += q * G;
+            q += p * G;
+        }
+        x += q;
+        y += x (.*) p;
+        z += y;
+    }
+    return x (.+) y (.+) z;
+}
+"""
+        a = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1), (2, 0, -1)])
+        b = MatrixRelation.from_tuples(I, 3, 1, [(1, 0, 2), (2, 0, 1)])
+        g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, -1)])
+        args = {"a": a, "b": b, "G": g}
+        for level in (0, 1, 2):
+            pf = compile_source(text, opt_level=level).plan_for("f")
+            outer, inner = sorted(
+                (node for node in pf.nodes if isinstance(node, PLoop)),
+                key=lambda loop: -len(loop.states),
+            )
+            assert (len(outer.states), len(inner.states)) == (3, 2)
+            if level > 0:
+                assert any(isinstance(p, PLoopState) for _, p in outer.hoisted)
+            _, stats = execute(pf, CallBinding(args=dict(args)))
+            assert sum(stats.loop_iterations.values()) == 3 + (2 if level else 3 * 2)
+        self._differential(text, "f", args, {"s": 3})
 
     def test_outer_invariant_part_of_inner_loop_hoisted(self):
         text = """
@@ -1333,38 +1439,39 @@ class TestKeyAlignedJoins:
     @pytest.mark.parametrize("shape", [(1, 1), (6, 1), (3, 4)])
     @pytest.mark.parametrize("full", [True, False])
     def test_pad_equals_the_search(self, shape, full):
-        """A pad onto a full grid uses the data keys as slots; onto any grid
-        it gives what a search of the grid's keys gives."""
+        """A pad onto a full grid uses the data keys as slots, which is what
+        a search of the grid's keys gives; a grid that is not full raises."""
         nr, nc = shape
         rng = np.random.default_rng(nr * nc)
-        gkey = np.arange(nr * nc) if full else np.flatnonzero(rng.random(nr * nc) < 0.7)
+        gkey = np.arange(nr * nc) if full else np.arange(1, nr * nc)
         grid = MatrixRelation(B, nr, nc, gkey // nc, gkey % nc, np.ones(len(gkey), np.bool_))
         dkey = np.sort(rng.choice(gkey, size=len(gkey) // 2, replace=False))
         data = MatrixRelation(R, nr, nc, dkey // nc, dkey % nc, rng.standard_normal(len(dkey)))
         empty = MatrixRelation.empty(I, nr, nc)
         ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty})
-        out = ex._join_pad(replace(_join_node(ex, "pointwise"), pattern="pad"), grid, data)
+        node = replace(_join_node(ex, "pointwise"), pattern="pad")
+        if not full:
+            with pytest.raises(EngineError, match="grid holds"):
+                ex._join_pad(node, grid, data)
+            return
+        out = ex._join_pad(node, grid, data)
         vals = np.zeros(len(gkey))
         vals[np.searchsorted(gkey, dkey)] = data.vals
         assert out.dense and out.rows is grid.rows and out.cols is grid.cols
         assert _same_array(out.vals, vals)
 
-    @pytest.mark.parametrize("full", [True, False])
-    def test_pad_debug_check_rejects_a_key_not_in_the_grid(self, full):
-        gkey = np.arange(6) if full else np.array([0, 2, 3, 5])
+    @pytest.mark.parametrize("debug_checks", [True, False])
+    def test_pad_rejects_a_grid_that_is_not_full(self, debug_checks):
+        """A compiled pad's grid is a domain scan or a cross of two, so it
+        holds every key; any other grid is an error, checked or not."""
+        gkey = np.array([0, 2, 3, 5])
         grid = MatrixRelation(B, 3, 2, gkey // 2, gkey % 2, np.ones(len(gkey), np.bool_))
-        dkey = np.array([3, 6]) if full else np.array([1, 3])
-        data = MatrixRelation(R, 3, 2, dkey // 2, dkey % 2, np.array([1.0, 2.0]))
+        data = MatrixRelation(R, 3, 2, np.array([0, 1]), np.array([1, 1]), np.array([1.0, 2.0]))
         empty = MatrixRelation.empty(I, 3, 2)
-        for debug_checks in (True, False):
-            ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty}, debug_checks)
-            node = replace(_join_node(ex, "pointwise"), pattern="pad")
-            if debug_checks:
-                with pytest.raises(EngineError, match="not in the grid"):
-                    ex._join_pad(node, grid, data)
-            elif not full:
-                # unchecked, key 1 lands in the slot of key 2
-                assert ex._join_pad(node, grid, data).vals.tolist() == [0.0, 1.0, 2.0, 0.0]
+        ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty}, debug_checks)
+        node = replace(_join_node(ex, "pointwise"), pattern="pad")
+        with pytest.raises(EngineError, match="the grid holds 4 of 6 keys"):
+            ex._join_pad(node, grid, data)
 
     def test_pagerank_merges_no_runs_on_the_grid(self, monkeypatch):
         """pr's pointwise joins over the vertex domain all line up, so none

@@ -29,6 +29,7 @@ from graphalg.harness import (
 from graphalg.optimizer import (
     MAY_OMIT_ZEROS,
     MUST_BE_DENSE,
+    _references,
     _rewrite_state_inplace,
     _seminaive,
     licm_pass,
@@ -478,12 +479,63 @@ func f(G: Matrix<s, s, bool>, M0: Matrix<s, s, bool>) -> Matrix<s, s, bool> {
         assert rel_equal(outs[0], outs[1]) and rel_equal(outs[0], outs[2])
 
     def test_loop_without_self_accumulation_unchanged(self):
-        compiled = compile_source(stdlib.source("pr"), opt_level=2)
-        pf = compiled.plan_for("pagerank")
-        loop = pf.root
-        assert isinstance(loop, PLoop)
-        assert loop.inplace == tuple(False for _ in loop.states)
-        assert not loop.fixpoint
+        """pr's state stays replaced, neither in place nor semi-naive. Its
+        loop gets the fixpoint exit all the same: the exit is on exactly when
+        no body reads the loop index."""
+        pf = compile_source(stdlib.source("pr"), opt_level=2).plan_for("pagerank")
+        assert isinstance(pf.root, PLoop)
+        assert pf.root.inplace == (False,) and pf.root.seminaive == (False,)
+        step = "v * apply(mul, G, cast<trop>(cast<real>({})))"
+        cases = [(SELF_STEP.format(sr="trop", step=step.format(k)), "f") for k in "i2"]
+        cases += [(pretty_print(gen_program(seed).program), "main") for seed in range(40)]
+        loops = [pf.root]
+        for text, func in cases:
+            pf = compile_source(text, opt_level=2).plan_for(func)
+            loops += [node for node in pf.nodes if isinstance(node, PLoop)]
+        seen = set()
+        for loop in loops:
+            memo = {}
+            reads_index = any(_references(b, {loop.index_name}, memo) for b in loop.bodies)
+            assert loop.fixpoint is not reads_index
+            seen.add(reads_index)
+        assert seen == {True, False}
+
+
+class TestFixpointExit:
+    """Every loop that does not read its index stops at a bitwise fixpoint."""
+
+    def test_a_period_two_state_runs_to_its_bound(self):
+        text = """
+func f(a: Vector<s, int>) -> Vector<s, int> {
+    x = a;
+    for i in 0..5 {
+        z = Vector<int>(s);
+        x = z (.-) x;
+    }
+    return x;
+}
+"""
+        a = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 4), (2, 0, -1)])
+        pf = compile_source(text, opt_level=2).plan_for("f")
+        assert pf.root.fixpoint
+        out, stats = execute(pf, CallBinding(args={"a": a}))
+        assert stats.loop_iterations == {pf.node_id(pf.root): 5}
+        assert stats.fixpoint_exits == 0
+        assert rel_canonical(out) == {(0, 0): -4, (2, 0): 1}
+
+    def test_pagerank_on_a_cycle_exits_after_one_iteration(self):
+        """On a cycle every vertex keeps rank 1/n, so the first iteration
+        leaves the state bitwise equal and the loop stops there."""
+        from graphalg.harness import run_stdlib, structured_graphs
+
+        n, edges, _ = structured_graphs()["cycle"]
+        graph = make_graph_input(n, edges, "bool")
+        out, stats = run_stdlib("pr", graph)
+        assert list(stats.loop_iterations.values()) == [1]
+        assert stats.fixpoint_exits == 1
+        full, full_stats = run_stdlib("pr", graph, options=ExecOptions(disable_fixpoint=True))
+        assert list(full_stats.loop_iterations.values()) == [20]
+        assert rel_equal(out, full)
 
 
 def _states(loop: PLoop, flags: tuple) -> dict:
@@ -581,7 +633,7 @@ class TestSemiNaive:
             raw = compile_source(texts[scale], opt_level=0).plan_for("f").root
             # the in-place pass leaves a loop that reads its index alone, so
             # rewrite the state directly to test the rule's own condition
-            loop = _rewrite_state_inplace(raw, 0)
+            loop = _rewrite_state_inplace(raw, 0, {})
             assert loop is not None
             assert _seminaive(loop, 0) is fires
         assert not _fires(compile_source(texts["i"], opt_level=2).plan_for("f"))
@@ -599,13 +651,15 @@ func f(G: Matrix<s, s, bool>, src: Vector<s, bool>) -> Vector<s, bool> {
 }
 """
         # v is read by u's body, which then depends on a changing state too:
-        # as a product's operand or as the matrix it multiplies by
+        # as a product's operand or as the matrix it multiplies by. The
+        # function returns u, the loop's second state, so the plan root is
+        # its LoopState
         for step in ("v * G", "u * diag(v)"):
-            pf = compile_source(text % step, opt_level=2).plan_for("f")
-            assert _states(pf.root, pf.root.inplace) == {"v$0": True, "u$1": True}
-            assert _states(pf.root, pf.root.seminaive) == {"v$0": False, "u$1": False}
-        pf = compile_source(text % "u * G", opt_level=2).plan_for("f")
-        assert _states(pf.root, pf.root.seminaive) == {"v$0": True, "u$1": True}
+            loop = compile_source(text % step, opt_level=2).plan_for("f").root.loop
+            assert _states(loop, loop.inplace) == {"v$0": True, "u$1": True}
+            assert _states(loop, loop.seminaive) == {"v$0": False, "u$1": False}
+        loop = compile_source(text % "u * G", opt_level=2).plan_for("f").root.loop
+        assert _states(loop, loop.seminaive) == {"v$0": True, "u$1": True}
 
     def test_not_on_a_dense_state(self):
         text = """

@@ -10,7 +10,7 @@ from graphalg import ast as A
 from graphalg import stdlib
 from graphalg.api import compile_source
 from graphalg.cli import attach_preprocess
-from graphalg.core import lower
+from graphalg.core import CoreExpr, lower
 from graphalg.engine import CallBinding, ExecOptions, MatrixRelation, execute, rel_equal
 from graphalg.errors import ArithmeticOverflowError
 from graphalg.parser import parse
@@ -284,6 +284,22 @@ class TestShare:
                 again = finalize(replace(pf, root=share(pf.root)))
                 assert pretty_plan(again) == pretty_plan(pf), f"seed {seed}"
 
+    def test_one_loop_per_source_loop_and_nothing_left_to_share(self):
+        """At opt 2 no generated plan holds two loops over the same states,
+        and a second `share` merges nothing: the in-place pass builds one
+        `Aggregate(rowcol, add)` wrapper per delta node."""
+        for seed in range(3000):
+            text = pretty_print(gen_program(seed).program)
+            pf = compile_source(text, opt_level=2).plan_for("main")
+            states = [
+                frozenset(n for n, _ in node.states)
+                for node in pf.nodes
+                if isinstance(node, PLoop)
+            ]
+            assert len(set(states)) == len(states), f"seed {seed}"
+            again = finalize(replace(pf, root=share(pf.root)))
+            assert len(again.nodes) == len(pf.nodes), f"seed {seed}"
+
     def test_shared_and_unshared_plans_bitwise_equal(self):
         """On the generated programs share changes, at every level, the
         shared plan gives the bits of the unshared one."""
@@ -318,6 +334,24 @@ def _plan_kinds(pf):
             yield node.pattern
 
 
+def _core_kinds(core):
+    """The types of every node of a Core program, after the sparsity pass."""
+    seen: dict[int, CoreExpr] = {}
+
+    def visit(value):
+        if isinstance(value, tuple):
+            for item in value:
+                visit(item)
+        elif isinstance(value, CoreExpr) and id(value) not in seen:
+            seen[id(value)] = value
+            for item in vars(value).values():
+                visit(item)
+
+    for fn in core.functions.values():
+        visit(fn.expr)
+    return {type(e) for e in seen.values()}
+
+
 def _subclasses(cls):
     return {cls} | {s for sub in cls.__subclasses__() for s in _subclasses(sub)}
 
@@ -337,3 +371,15 @@ class TestEveryOperatorIsReached:
             seen.update(_plan_kinds(compile_source(text, opt_level=0).plan_for("main")))
         assert _subclasses(PlanNode) - {PlanNode} <= seen
         assert set(JOIN_KINDS) <= seen
+
+    def test_every_core_node_type_occurs(self):
+        """Every Core node type occurs in some lowered program, so each one
+        reaches the sparsity pass, validation, translation and the reference
+        evaluator. (`diag` first reaches a generated Core at seed 26.)"""
+        seen = set()
+        for name in STDLIB:
+            seen.update(_core_kinds(compile_source(stdlib.source(name)).core))
+        for seed in range(40):
+            text = pretty_print(gen_program(seed).program)
+            seen.update(_core_kinds(compile_source(text).core))
+        assert _subclasses(CoreExpr) - {CoreExpr} <= seen
