@@ -319,6 +319,11 @@ func f(G: Matrix<s, s, bool>, a: Vector<s, bool>) -> Vector<s, bool> {
             assert isinstance(pf.root, PLoopState) is (result == "y")
             _, stats = execute(pf, CallBinding(args=dict(args)))
             (iterations,) = stats.loop_iterations.values()
+            # one run: all n iterations, or, at opt 2, up to its one exit
+            if level < 2:
+                assert (iterations, stats.fixpoint_exits) == (n, 0)
+            else:
+                assert iterations < n and stats.fixpoint_exits == 1
             body = {id(node) for node in _reachable(loop.bodies)}
             counts = [
                 stats.aggregations_executed[pf.node_id(node)]
