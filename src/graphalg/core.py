@@ -107,8 +107,7 @@ class CDensify(CoreExpr):
 
 @dataclass(frozen=True, eq=False)
 class CForLoop(CoreExpr):
-    """Bounded loop over every state of one source loop, updated
-    simultaneously; the result is the final value of the first state."""
+    """Bounded loop over all states of one source loop; its value is the first."""
 
     bound: Dim = None
     states: tuple = ()  # tuple of (name, init CoreExpr)

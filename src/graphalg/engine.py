@@ -9,23 +9,23 @@ orders) produce bitwise-identical canonical outputs.
 
 The Loop operator evaluates its hoisted subplans once, then one body
 subplan per state variable against the previous iteration's states, and
-commits all states at once. It returns its first state and leaves the
-others in the memo of its scope (a call, or an iteration of an enclosing
-loop), where LoopState nodes read them, so it runs once per scope. Each
+commits all states at once. Its memo entry holds every final state, so it
+runs once per scope (a call, or an iteration of an enclosing loop); its
+value is its first state, and LoopState nodes read the others. Each
 iteration starts from a memo that holds the hoisted values, so the bodies
 read them instead of recomputing. States rewritten for in-place
 aggregation keep a persistent state and add each iteration's delta into
-it (`merge_in_place`); the merge also returns the change set. When
-fixpoint checking is enabled, an iteration whose merges change nothing
-and whose replaced states are `rel_equal` to the last ones terminates the
-loop early. A state marked
-semi-naive is read by its body as that change set (the init in the first
-iteration), not as the whole state; the loop still observes and returns
-the whole states. A semi-naive state of one column turns, once it holds
-nrows / `VECTOR_FILL` tuples, into a value array with one slot per row
-(`VectorState`), so its merge costs O(|delta|), not O(|state|); its
-relation is rebuilt, in O(nrows), only for the iteration observer, debug
-checks and the loop result. Other states keep a sorted table.
+it (`merge_in_place`); the merge also returns the change set. With
+fixpoint checking enabled, an iteration whose merges change nothing and
+whose replaced states are `rel_equal` to the last ones ends the loop
+early. A state marked semi-naive is read by its body as that change set
+(the init in the first iteration), not as the whole state; the loop still
+observes and returns the whole states. A semi-naive state of one column
+turns, once it holds nrows / `VECTOR_FILL` tuples, into a value array
+with one slot per row (`VectorState`), so its merge costs O(|delta|), not
+O(|state|); its relation is rebuilt, in O(nrows), only for the iteration
+observer, debug checks and the loop result. Other states keep a sorted
+table.
 
 Sorting costs O(n) for n tuples. Every fold (`fold_rowcol`,
 `first_per_row`, `canonicalize`) and every column index orders its keys
@@ -848,6 +848,8 @@ class Executor:
         return result
 
     def eval(self, node: PlanNode, env: dict, memo: dict):
+        if isinstance(node, PLoop):
+            return self.loop_states(node, env, memo)[node.states[0][0]]
         key = id(node)
         if key in memo:
             return memo[key]
@@ -857,6 +859,15 @@ class Executor:
             assert_canonical(result)
         memo[key] = result
         return result
+
+    def loop_states(self, node: PLoop, env: dict, memo: dict) -> dict:
+        """A loop's final states by name: one memo entry, copied whole."""
+        key = id(node)
+        if key not in memo:
+            states = self._eval_loop(node, env, memo)
+            self.stats.record(self.pf.node_id(node), len(states[node.states[0][0]]))
+            memo[key] = states
+        return memo[key]
 
     def _eval(self, node: PlanNode, env: dict, memo: dict):
         if isinstance(node, PScanArg):
@@ -885,11 +896,8 @@ class Executor:
             return self._eval_join(node, env, memo)
         if isinstance(node, PAggregate):
             return self._eval_aggregate(node, env, memo)
-        if isinstance(node, PLoop):
-            return self._eval_loop(node, env, memo)
         if isinstance(node, PLoopState):
-            self.eval(node.loop, env, memo)
-            return memo[id(node.loop), node.name]
+            return self.loop_states(node.loop, env, memo)[node.name]
         raise EngineError(f"cannot evaluate node {type(node).__name__}")
 
     def _eval_map(self, node: PMap, env: dict, memo: dict):
@@ -1042,15 +1050,16 @@ class Executor:
             return canonicalize(sr, nr, nc, rows, cols, vals)
         return fold_rowcol(sr, nr, nc, rows, cols, vals)[0]
 
-    def _eval_loop(self, node: PLoop, env: dict, memo: dict):
+    def _eval_loop(self, node: PLoop, env: dict, memo: dict) -> dict:
         nid = self.pf.node_id(node)
         bound = self._resolve(node.bound)
         # hoisted subplans are nodes of the bodies that read no loop state:
         # their values seed every iteration's memo. They run only if the
         # bodies would, so a loop with bound 0 evaluates neither.
-        shared = (
-            {id(p): self.eval(p, env, memo) for _, p in node.hoisted} if bound > 0 else {}
-        )
+        shared = {}
+        for _, p in node.hoisted if bound > 0 else ():
+            self.eval(p, env, memo)
+            shared[id(p)] = memo[id(p)]
         states: dict[str, LoopState] = {}
         for name, init in node.states:
             rel = self.eval(init, env, memo)
@@ -1111,9 +1120,7 @@ class Executor:
             if check_fixpoint and not changed_any:
                 self.stats.fixpoint_exits += 1
                 break
-        for name in names[1:]:
-            memo[id(node), name] = as_relation(states[name])
-        return as_relation(states[names[0]])
+        return {name: as_relation(state) for name, state in states.items()}
 
 
 def execute(

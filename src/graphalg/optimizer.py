@@ -382,15 +382,11 @@ def inplace_agg_pass(pf: PlanFunction) -> PlanFunction:
     """Turn self-accumulating loop states into in-place merges, mark the
     in-place states that qualify for semi-naive evaluation (`_seminaive`),
     and enable the fixpoint exit, on every loop whose bodies do not read
-    the loop index.
-
-    Soundness of the exit: such a loop is a pure function of its states and
-    the invariants it reads, and the engine is deterministic. So if one
-    iteration leaves every state bitwise equal, every later iteration does
-    too, and stopping there returns the states the bound would. The engine
-    compares a replaced state with `rel_equal`; an in-place state is
-    unchanged when its change set is empty.
-    """
+    the loop index. The exit is sound: such a loop is a pure function of
+    its states and invariants, and the engine is deterministic, so once an
+    iteration leaves every state bitwise equal (`rel_equal` for a replaced
+    state, an empty change set for an in-place one), so does every later
+    one, and stopping there returns what the bound would."""
     wrappers: dict[int, PlanNode] = {}
 
     def fn(node: PlanNode) -> PlanNode | None:

@@ -372,6 +372,39 @@ func f(a: Vector<s, int>, b: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, 
             assert sum(stats.loop_iterations.values()) == 3 + (2 if level else 3 * 2)
         self._differential(text, "f", args, {"s": 3})
 
+    def test_loop_state_hoisted_past_a_loop_with_a_dimension_bound(self):
+        """LICM hoists loop L into O, and L's LoopState into the inner loop
+        K, whose bound is not a literal, so O does not hoist it further: K's
+        iterations read L's second state from a memo seeded by O's."""
+        text = """
+func f(a: Vector<s, int>, b: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, int> {
+    x = a;
+    for i in 0..s {
+        p = a;
+        q = b;
+        for j in 0..2 {
+            p += q * G;
+            q += p * G;
+        }
+        r = x (.+) p;
+        for k in 0..s {
+            r += q;
+        }
+        x = r;
+    }
+    return x;
+}
+"""
+        a = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1), (2, 0, -1)])
+        b = MatrixRelation.from_tuples(I, 3, 1, [(1, 0, 2), (2, 0, 1)])
+        g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 1), (1, 2, 2), (2, 0, -1)])
+        args = {"a": a, "b": b, "G": g}
+        pf = compile_source(text, opt_level=2).plan_for("f")
+        _, stats = execute(pf, CallBinding(args=dict(args)))
+        # L runs once per call: 2 iterations, beside O's 3 and K's 3 * 3
+        assert sorted(stats.loop_iterations.values()) == [2, 3, 9]
+        self._differential(text, "f", args, {"s": 3})
+
     def test_outer_invariant_part_of_inner_loop_hoisted(self):
         text = """
 func f(v: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, int> {
