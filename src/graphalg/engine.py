@@ -48,17 +48,20 @@ These are pr's joins. Interleaved runs, such as wcc's `A (.+) A.T`, keep a
 stable argsort of the two runs, timsort's best case (`merge_runs`). No
 operator writes into an input array, so the sharing is sound.
 
-A matmul join runs in one of two directions, chosen per call by a cost
-estimate. Pull walks every tuple of the left operand and probes the right
-one's row pointer; push walks the right operand and reads, for each of its
-rows k, the left operand's column k through a cached column index. So a
-small change set joined with the whole graph costs its own edges, not the
-graph's. Pull against a one-column right operand (a vector) matches each
-left tuple at most once, so it needs no pair expansion, and its pairs come
-out in output order, so the fold above skips its sort. Both directions
-emit the same pairs, and every output key receives its pairs in ascending
-inner index k in both, so the stable folds above the join give
-bitwise-identical results whichever direction ran.
+A matmul join is the whole product, a groupjoin: it multiplies the values
+of each matching pair and folds the products per output key with
+semiring addition, so its value is a canonical relation. It runs in one of
+two directions, chosen per call by a cost estimate. Pull walks every tuple
+of the left operand and probes the right one's row pointer; push walks the
+right operand and reads, for each of its rows k, the left operand's column
+k through a cached column index. So a small change set joined with the
+whole graph costs its own edges, not the graph's. Pull against a one-column
+right operand (a vector) matches each left tuple at most once, so it needs
+no pair expansion, and its pairs come out grouped by output row, so the
+fold reads the row runs and builds no key array and no sort. Both
+directions emit the same pairs, and every output key receives its pairs in
+ascending inner index k in both, so the stable folds give bitwise-identical
+results whichever direction ran.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ from .semiring import (
     vadd,
     vadd_reduceat,
     veval_expr,
+    vmul,
 )
 from .typecheck import DimEnv
 
@@ -112,7 +116,7 @@ class MatrixRelation:
     Relations are never mutated after construction: no operator writes into
     an input array, though an output may share arrays with its inputs, and
     the loop's iteration observer keeps earlier states. The cached column
-    index relies on that.
+    index and row runs rely on that.
     """
 
     sr: SemiringTag
@@ -128,9 +132,20 @@ class MatrixRelation:
     _col_perm: Optional[np.ndarray] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _row_starts: Optional[np.ndarray] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def row_starts(self) -> np.ndarray:
+        """The position of each row's first tuple, for the rows that hold
+        one: the run starts of `rows`. Built on first use in O(n) and
+        cached, so a hoisted operand pays for it once per call."""
+        if self._row_starts is None:
+            self._row_starts = _group_starts(self.rows)
+        return self._row_starts
 
     def colptr(self) -> np.ndarray:
         """The column pointer: column k holds `colptr[k+1] - colptr[k]`
@@ -310,7 +325,8 @@ def _bits(vals: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TupleTable:
-    """Intermediate multi-column table flowing between join and map."""
+    """Intermediate multi-column table flowing from a pointwise or cross
+    join to the map above it, sorted by (row, col) with unique keys."""
 
     nrows: int
     ncols: int
@@ -318,7 +334,6 @@ class TupleTable:
     cols: np.ndarray
     vals: list[np.ndarray]
     tags: list[SemiringTag]
-    unique: bool = False
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -327,9 +342,7 @@ class TupleTable:
 def _as_table(x: Union[MatrixRelation, TupleTable]) -> TupleTable:
     if isinstance(x, TupleTable):
         return x
-    return TupleTable(
-        x.nrows, x.ncols, x.rows, x.cols, [x.vals], [x.sr], unique=True
-    )
+    return TupleTable(x.nrows, x.ncols, x.rows, x.cols, [x.vals], [x.sr])
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +453,26 @@ def fold_rowcol(
         sr, nrows, ncols, out_rows, ukey - out_rows * stride, folded, assume_sorted=True
     )
     return rel, len(starts)
+
+
+def fold_rows(
+    sr: SemiringTag,
+    nrows: int,
+    rows: np.ndarray,
+    vals: np.ndarray,
+    starts: Optional[np.ndarray],
+) -> MatrixRelation:
+    """The one-column relation of each row's sum, for values whose rows
+    are non-decreasing: each row's values form one run, and `starts` holds
+    the runs' first positions (`_group_starts(rows)`). With `starts` None,
+    every row holds at most one value and nothing is folded. These are the
+    segments `fold_rowcol` folds, in its order, so the sums are bitwise
+    equal to its sums, and no key array or order check is built."""
+    if starts is not None and len(starts) < len(rows):
+        rows, vals = rows[starts], vadd_reduceat(sr, vals, starts)
+    return canonicalize(
+        sr, nrows, 1, rows, np.zeros(len(rows), np.int64), vals, assume_sorted=True
+    )
 
 
 def first_per_row(
@@ -917,8 +950,6 @@ class Executor:
             out_vals, _ = veval_expr(node.val, venv, tags, self.flags)
             out_vals = np.asarray(out_vals, dtype=NUMPY_DTYPE[node.ty.sr])
         nr, nc = self.shape(node)
-        if not src.unique:
-            return TupleTable(nr, nc, rows, cols, [out_vals], [node.ty.sr], unique=False)
         return canonicalize(
             node.ty.sr, nr, nc, rows, cols, out_vals, dense=(node.mark == DENSE)
         )
@@ -936,47 +967,66 @@ class Executor:
             return self._join_pad(node, left, right)
         raise EngineError(f"unknown join pattern {node.pattern!r}")
 
-    def _join_matmul(self, node: PJoin, a: MatrixRelation, b: MatrixRelation):
-        """The pairs of a's (i, k) and b's (k, c), as a table of (i, c) keys.
+    def _join_matmul(self, node: PJoin, a: MatrixRelation, b: MatrixRelation) -> MatrixRelation:
+        """The product: for each output key (i, c), the semiring sum of the
+        products a(i, k) * b(k, c) over every k that both hold.
 
         Pull walks every tuple of `a` and probes b's row pointer. It costs
         O(|a| + P) for P pairs, and its pairs come out sorted by row. Push
         walks `b` and reads a's column k through `a.by_col()`. It costs
-        O(|b| + P), but the fold above must then sort its pairs from
-        scratch. `push_is_cheaper` picks the direction on each call.
+        O(|b| + P), but its pairs must then be sorted by key before they
+        fold. `push_is_cheaper` picks the direction on each call.
 
         Soundness of either choice: both emit the same multiset of pairs, and
         each output key (i, c) receives its pairs in ascending k in both. Pull
         is a-major, and `a` is sorted by (i, k); push is b-major, and `b` is
-        sorted by (k, c). So the stable folds above the join (REAL sums,
-        `first_per_row`) give bitwise-identical results either way.
+        sorted by (k, c). So the stable folds give bitwise-identical results
+        either way.
 
-        A full one-column `b` holds row k at position k, so pull's pairs are
-        (0 .. |a|-1, `a.cols`) and need no probe. The table shares a's arrays,
-        sound as no operator writes into an input. Push never wins there: its
-        P is |a|, so the cost rule fails.
+        The fold reads what order the pairs already have. Every case folds
+        the segments `fold_rowcol` would, in its order, so REAL sums are
+        bitwise equal to its sums:
+
+        * A full one-column `b` holds row k at position k, so pull's pairs
+          are all of `a` against `b.vals[a.cols]` and need no probe; they
+          fold over a's cached row runs. Push never wins there: its P is
+          |a|, so the cost rule fails.
+        * Pull against another one-column `b` emits its pairs grouped by
+          output row, so they fold over their own row runs.
+        * With inner dimension 1, each row of `a` holds at most one tuple, so
+          in both cases above nothing folds.
+        * Push, or a `b` of several columns, folds with `fold_rowcol`.
+
+        The pair indices are dropped once their values are gathered, and the
+        gathered values once multiplied, so the fold runs beside neither.
+        The fold is this node's aggregation, counted in
+        `aggregations_executed`.
         """
+        self._count(self.stats.aggregations_executed, node)
+        sr = node.ty.sr
         nr, nc = self.shape(node)
+        # inner dimension 1: with unique keys, each row of `a` holds one tuple
+        one_per_row = a.ncols == 1
         if b.ncols == 1 and len(b) == b.nrows:
-            return TupleTable(
-                nr, nc, a.rows, np.zeros(len(a), np.int64), [a.vals, b.vals[a.cols]],
-                list(node.val_tags), unique=False,
-            )
-        if push_is_cheaper(a, b):
-            nid = self.pf.node_id(node)
-            self.stats.push_joins[nid] = self.stats.push_joins.get(nid, 0) + 1
-            left_idx, right_idx = push_pairs(a, b)
-        else:
-            left_idx, right_idx = pull_pairs(a, b)
-        return TupleTable(
-            nr,
-            nc,
-            a.rows[left_idx],
-            b.cols[right_idx],
-            [a.vals[left_idx], b.vals[right_idx]],
-            list(node.val_tags),
-            unique=False,
-        )
+            vals = vmul(sr, a.vals, b.vals[a.cols])
+            return fold_rows(sr, nr, a.rows, vals, None if one_per_row else a.row_starts())
+        push = push_is_cheaper(a, b)
+        if push:
+            self._count(self.stats.push_joins, node)
+        left, right = push_pairs(a, b) if push else pull_pairs(a, b)
+        by_row = b.ncols == 1 and not push
+        rows, cols = a.rows[left], None if by_row else b.cols[right]
+        avals, bvals = a.vals[left], b.vals[right]
+        del left, right
+        vals = vmul(sr, avals, bvals)
+        del avals, bvals
+        if by_row:
+            return fold_rows(sr, nr, rows, vals, None if one_per_row else _group_starts(rows))
+        return fold_rowcol(sr, nr, nc, rows, cols, vals)[0]
+
+    def _count(self, counter: dict[int, int], node: PlanNode):
+        nid = self.pf.node_id(node)
+        counter[nid] = counter.get(nid, 0) + 1
 
     def _join_pointwise(self, node: PJoin, left, right):
         """Both sides' values on the union of their keys, each padded with
@@ -1006,15 +1056,14 @@ class Executor:
             return out
 
         return TupleTable(
-            nr, nc, rows, cols, pad(lt, lslot) + pad(rt, rslot),
-            list(lt.tags) + list(rt.tags), unique=True,
+            nr, nc, rows, cols, pad(lt, lslot) + pad(rt, rslot), list(lt.tags) + list(rt.tags)
         )
 
     def _join_cross(self, node: PJoin, left: MatrixRelation, right: MatrixRelation):
         nr, nc = self.shape(node)
         rows = np.repeat(left.rows, len(right.rows))
         cols = np.tile(right.rows, len(left.rows))
-        return TupleTable(nr, nc, rows, cols, [], [], unique=True)
+        return TupleTable(nr, nc, rows, cols, [], [])
 
     def _join_pad(self, node: PJoin, grid, data: MatrixRelation):
         """`data`'s values on the grid's keys, the identity elsewhere. The
@@ -1031,24 +1080,14 @@ class Executor:
         )
 
     def _eval_aggregate(self, node: PAggregate, env: dict, memo: dict):
-        src = _as_table(self.eval(node.input, env, memo))
-        nid = self.pf.node_id(node)
-        self.stats.aggregations_executed[nid] = (
-            self.stats.aggregations_executed.get(nid, 0) + 1
-        )
+        src = self.eval(node.input, env, memo)
+        self._count(self.stats.aggregations_executed, node)
         sr = node.ty.sr
         nr, nc = self.shape(node)
-        rows, cols, vals = src.rows, src.cols, src.vals[0] if src.vals else None
-
         if node.combine == "argmin_col":
-            return first_per_row(sr, nr, nc, rows, cols, vals)
-
-        # group by (row, col)
-        if len(rows) == 0:
-            return MatrixRelation.empty(sr, nr, nc)
-        if src.unique:
-            return canonicalize(sr, nr, nc, rows, cols, vals)
-        return fold_rowcol(sr, nr, nc, rows, cols, vals)[0]
+            return first_per_row(sr, nr, nc, src.rows, src.cols, src.vals)
+        # group by (row, col): every relation already has unique keys
+        return canonicalize(sr, nr, nc, src.rows, src.cols, src.vals)
 
     def _eval_loop(self, node: PLoop, env: dict, memo: dict) -> dict:
         nid = self.pf.node_id(node)

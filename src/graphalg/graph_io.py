@@ -331,9 +331,12 @@ def _value_column(sr: SemiringTag, vals: np.ndarray) -> list[str]:
         return np.where(vals, "true", "false").tolist()
     if sr is SemiringTag.INT:
         return list(map(str, vals.tolist()))
-    text = np.array(list(map(repr, vals.tolist())), dtype=object)
     whole = np.isfinite(vals) & (np.abs(vals) < 1e16) & (np.trunc(vals) == vals)
+    if whole.all():
+        return list(map(str, vals.astype(np.int64).tolist()))
+    text = np.empty(len(vals), dtype=object)
     text[whole] = list(map(str, vals[whole].astype(np.int64).tolist()))
+    text[~whole] = list(map(repr, vals[~whole].tolist()))
     return text.tolist()
 
 

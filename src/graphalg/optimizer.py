@@ -262,10 +262,11 @@ def _rewrite_state_inplace(loop: PLoop, i: int, wrappers: dict) -> PLoop | None:
     over a pointwise join of two single-column relations, exactly one of
     which scans the state. The body becomes the delta d, which the engine
     adds to the persistent state (the outer join pads a missing side with
-    the identity, which is what the merge does too). An aggregate, a loop
-    or a loop state already yields a relation with unique keys and is
-    merged as is; any other delta is folded by `Aggregate(rowcol, add)`
-    first, one such node per delta node in `wrappers` (keyed by its id).
+    the identity, which is what the merge does too). An aggregate, a matmul
+    join, a loop or a loop state already yields a relation with unique keys
+    and is merged as is; any other delta is folded by `Aggregate(rowcol,
+    add)` first, one such node per delta node in `wrappers` (keyed by its
+    id).
     """
     name = loop.states[i][0]
     body = loop.bodies[i]
@@ -284,7 +285,10 @@ def _rewrite_state_inplace(loop: PLoop, i: int, wrappers: dict) -> PLoop | None:
     if scans.count(True) != 1:
         return None
     delta = sides[scans.index(False)]
-    if not isinstance(delta, (PAggregate, PLoop, PLoopState)):
+    merged_as_is = isinstance(delta, (PAggregate, PLoop, PLoopState)) or (
+        isinstance(delta, PJoin) and delta.pattern == "matmul"
+    )
+    if not merged_as_is:
         delta = wrappers.setdefault(
             id(delta),
             PAggregate(ty=body.ty, input=delta, group_by="rowcol", combine="add"),
@@ -300,25 +304,13 @@ def _rewrite_state_inplace(loop: PLoop, i: int, wrappers: dict) -> PLoop | None:
 _IDEMPOTENT = (SemiringTag.BOOL, SemiringTag.TROP)
 
 
-def _is_product(val) -> bool:
-    """Whether a map computes vi * vj of two distinct value columns."""
-    return (
-        isinstance(val, SBin)
-        and val.op == "*"
-        and isinstance(val.lhs, SVar)
-        and isinstance(val.rhs, SVar)
-        and val.lhs.name != val.rhs.name
-    )
-
-
 def _linear(node: PlanNode, name: str, invariant) -> bool:
     """Whether `node` is ⊕-linear in the state `name`, by a whitelist.
 
     A scan of the state is linear. So are, over a linear input, a
-    transpose, an `Aggregate(rowcol, add)`, a map computing `vi * vj` with
-    no coordinate change or filter, and a matmul join whose other operand
-    is invariant. Casts are maps with other expressions, so the whole path
-    computes in the state's semiring.
+    transpose, an `Aggregate(rowcol, add)` and a matmul join whose other
+    operand is invariant. Casts are maps, which the list leaves out, so the
+    whole path computes in the state's semiring.
     """
     if isinstance(node, PScanArg):
         return node.name == name
@@ -327,14 +319,6 @@ def _linear(node: PlanNode, name: str, invariant) -> bool:
     if isinstance(node, PAggregate):
         grouping = (node.group_by, node.combine, node.label)
         return grouping == ("rowcol", "add", None) and _linear(node.input, name, invariant)
-    if isinstance(node, PMap):
-        return (
-            node.coord is None
-            and node.filter is None
-            and node.label is None
-            and _is_product(node.val)
-            and _linear(node.input, name, invariant)
-        )
     if isinstance(node, PJoin) and node.pattern == "matmul":
         left, right = node.left, node.right
         return (invariant(right) and _linear(left, name, invariant)) or (

@@ -1,15 +1,18 @@
 """Relational-algebra plans over (row, col, value) relations.
 
-Core compiles to a DAG of plan nodes. Matrix multiplication becomes
-join + map + aggregate, pointwise application becomes an n-way outer join
-with identity padding followed by a map, and a bounded loop becomes one
-Loop node carrying named state relations and one body subplan per state.
-Its output is the first state; a LoopState node reads any other one.
+Core compiles to a DAG of plan nodes. Matrix multiplication becomes one
+matmul join that also multiplies and folds (a groupjoin), pointwise
+application becomes an n-way outer join with identity padding followed by
+a map, and a bounded loop becomes one Loop node carrying named state
+relations and one body subplan per state. Its output is the first state; a
+LoopState node reads any other one.
 Equal subplans are one node: `share` merges them after translation.
 
 Join patterns fix the attribute plumbing:
 
-* ``matmul``:    inner join on left.col = right.row
+* ``matmul``:    inner join on left.col = right.row, grouped by
+                 (left.row, right.col): its one value column is the
+                 semiring sum of the products of each group's pairs
 * ``pointwise``: full outer join on (row, col), absent sides read as the
                  additive identity
 * ``pad``:       left outer join keeping every left key (densify)
@@ -248,16 +251,13 @@ class _Compiler:
             inner = self.plan(e.arg)
             return PAggregate(ty=e.ty, input=inner, group_by="row", combine="argmin_col")
         if isinstance(e, CMatMul):
-            lhs, rhs = self.plan(e.lhs), self.plan(e.rhs)
-            join = PJoin(
+            return PJoin(
                 ty=e.ty,
-                left=lhs,
-                right=rhs,
+                left=self.plan(e.lhs),
+                right=self.plan(e.rhs),
                 pattern="matmul",
-                val_tags=val_tags(lhs) + val_tags(rhs),
+                val_tags=(e.ty.sr,),
             )
-            mapped = PMap(ty=e.ty, input=join, val=SBin("*", SVar("v0"), SVar("v1")))
-            return PAggregate(ty=e.ty, input=mapped, group_by="rowcol", combine="add")
         if isinstance(e, CApply):
             plans = [self.plan(a) for a in e.args]
             if len(plans) == 1:
@@ -373,7 +373,9 @@ def _describe(node: PlanNode, pf: PlanFunction) -> str:
     if isinstance(node, PConstant):
         return f"#{nid} Constant[0 tuples, {shape}, {node.mark}]"
     if isinstance(node, PJoin):
-        return f"#{nid} Join({node.pattern}, {node.kind})[{shape}, {node.mark}]"
+        # a matmul join's value is a relation, the others' a table of columns
+        sr = f":{node.ty.sr}" if node.pattern == "matmul" else ""
+        return f"#{nid} Join({node.pattern}, {node.kind})[{shape}{sr}, {node.mark}]"
     if isinstance(node, PMap):
         extras = []
         if node.coord:

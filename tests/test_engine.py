@@ -154,32 +154,34 @@ func f(x: int) -> int {
 
     def test_hoisted_intermediate_table_shared(self):
         text = """
-func f(v: Vector<s, int>, G: Matrix<s, s, int>) -> Vector<s, int> {
+func f(v: Vector<s, int>, G: Matrix<s, s, int>, H: Matrix<s, s, int>) -> Vector<s, int> {
     for i in 0..3 {
-        v += v * (G * G);
+        v += (G (.+) H) * v;
     }
     return v;
 }
 """
         pf = compile_source(text, opt_level=1).plan_for("f")
-        # the hoisted node is (G * G).T
-        ((name, square),) = pf.root.hoisted
-        # hoist the matmul join under G * G instead: its value is a tuple
-        # table, which every iteration's aggregate then reads from the memo
-        join = square.input.input.input
-        assert isinstance(join, PJoin) and join.pattern == "matmul"
+        # the hoisted node is the map of G (.+) H
+        ((name, summed),) = pf.root.hoisted
+        # hoist the pointwise join under it instead: its value is a tuple
+        # table, which every iteration's map then reads from the memo
+        join = summed.input
+        assert isinstance(join, PJoin) and join.pattern == "pointwise"
         shared = PlanFunction(
             pf.name, pf.params, replace(pf.root, hoisted=((name, join),)), pf.free_dim_symbols
         )
         finalize(shared)
         v = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1), (2, 0, -1)])
         g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 1), (1, 2, 2), (1, 0, 3), (2, 0, -1)])
-        binding = lambda: CallBinding(args={"v": v, "G": g})
+        h = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, -1), (2, 2, 4)])
+        binding = lambda: CallBinding(args={"v": v, "G": g, "H": h})
         out, stats = execute(shared, binding(), ExecOptions(debug_checks=True))
         expected, _ = execute(compile_source(text, opt_level=0).plan_for("f"), binding())
         assert rel_equal(out, expected)
+        # the union of the keys, once; the map drops (0, 1), whose sum is 0
         assert stats.tuples_produced[shared.node_id(join)] == 5
-        assert stats.aggregations_executed[shared.node_id(square.input)] == 3
+        assert stats.tuples_produced[shared.node_id(summed)] == 3 * 4
 
     def test_division_by_zero_flagged_not_fatal(self):
         text = """
@@ -309,8 +311,8 @@ func f(G: Matrix<s, s, bool>, a: Vector<s, bool>) -> Vector<s, bool> {
 
     @pytest.mark.parametrize("result", ["x (.+) y", "y"])
     def test_two_state_loop_runs_once(self, result):
-        """One loop node runs both states: each body aggregate runs once per
-        iteration, whichever states the code after the loop reads."""
+        """One loop node runs both states: each body's product folds once
+        per iteration, whichever states the code after the loop reads."""
         text = self.TWO_STATES % result
         n, args = self._small_graph()
         for level in (0, 1, 2):
@@ -328,7 +330,7 @@ func f(G: Matrix<s, s, bool>, a: Vector<s, bool>) -> Vector<s, bool> {
             counts = [
                 stats.aggregations_executed[pf.node_id(node)]
                 for node in pf.nodes
-                if isinstance(node, PAggregate) and id(node) in body
+                if isinstance(node, PJoin) and node.pattern == "matmul" and id(node) in body
             ]
             assert len(counts) == 2 and set(counts) == {iterations}
         self._differential(text, "f", args, {"s": n})
@@ -1058,7 +1060,7 @@ class TestMatmulDirections:
     def test_one_column_pull_needs_no_expansion(self, operands):
         """The direct path of a one-column `b` gives the expanded pairs in
         their order, and its output keys are non-decreasing, so the fold
-        above skips its sort."""
+        reads their row runs and needs no sort."""
         _, a, b = operands
         ptr = _pointer(b.rows, b.nrows)
         lo = ptr[a.cols]
@@ -1336,7 +1338,7 @@ def pointwise_operands(draw):
         vals = [
             np.array([draw(POINTWISE_VALUES[t]) for _ in key], NUMPY_DTYPE[t]) for t in tags
         ]
-        return TupleTable(nr, nc, key // nc, key % nc, vals, tags, unique=True)
+        return TupleTable(nr, nc, key // nc, key % nc, vals, tags)
 
     return kind, table(left), table(right)
 
@@ -1380,8 +1382,8 @@ func f(a: Matrix<s, t, int>, b: Matrix<s, t, int>) -> Matrix<s, t, int> {
 }
 """
 
-MATVEC_TEXT = """
-func f(a: Matrix<s, t, SR>, b: Vector<t, SR>) -> Vector<s, SR> {
+MATMAT_TEXT = """
+func f(a: Matrix<s, t, SR>, b: Matrix<t, u, SR>) -> Matrix<s, u, SR> {
     return a * b;
 }
 """
@@ -1389,6 +1391,25 @@ func f(a: Matrix<s, t, SR>, b: Vector<t, SR>) -> Vector<s, SR> {
 
 def _same_array(got: np.ndarray, want: np.ndarray) -> bool:
     return got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+
+
+def _same_relation(got: MatrixRelation, want: MatrixRelation) -> bool:
+    """Equal shape, semiring, density and arrays, dtypes and bits included."""
+    return (
+        (got.sr, got.shape, got.dense) == (want.sr, want.shape, want.dense)
+        and all(_same_array(g, w) for g, w in (
+            (got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)
+        ))
+    )
+
+
+def _matmul_reference(sr, a: MatrixRelation, b: MatrixRelation, pairs) -> MatrixRelation:
+    """The product as three plan nodes computed it before a product became
+    one join: the join's pairs (`pull_pairs` or `push_pairs`), a map of
+    their products, then the key fold `fold_rowcol`."""
+    left, right = pairs(a, b)
+    vals = vmul(sr, a.vals[left], b.vals[right])
+    return fold_rowcol(sr, a.nrows, b.ncols, a.rows[left], b.cols[right], vals)[0]
 
 
 def _count_calls(monkeypatch, *names: str) -> list:
@@ -1434,7 +1455,7 @@ class TestKeyAlignedJoins:
         ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty})
         table = ex._join_pointwise(_join_node(ex, "pointwise"), lt, rt)
         assert _same_array(table.rows, rows) and _same_array(table.cols, cols)
-        assert table.tags == lt.tags + rt.tags and table.unique
+        assert table.tags == lt.tags + rt.tags
         assert len(table.vals) == len(padded)
         for got_vals, want in zip(table.vals, padded):
             assert _same_array(got_vals, want)
@@ -1442,37 +1463,29 @@ class TestKeyAlignedJoins:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(operands=matmul_operands(ncols=1), data=st.data())
     def test_full_vector_pull_equals_the_probe(self, operands, data):
-        """Against a full one-column `b`, the table holds the probe's pairs
-        in the probe's order, and folds to the same relation; neither the
-        probe nor the cost rule runs."""
+        """Against a full one-column `b`, the product equals the fold of the
+        probe's pairs, bitwise; neither the probe, the cost rule nor the
+        key fold runs."""
         sr, a, b = operands
         n = b.nrows
         vals = np.array([data.draw(MATMUL_VALUES[sr]) for _ in range(n)], NUMPY_DTYPE[sr])
         b = MatrixRelation(sr, n, 1, np.arange(n), np.zeros(n, np.int64), vals, dense=True)
-        left, right = pull_pairs(a, b)
-        ex = _executor(MATVEC_TEXT.replace("SR", sr.value), {"a": a, "b": b})
+        want = _matmul_reference(sr, a, b, pull_pairs)
+        ex = _executor(MATMAT_TEXT.replace("SR", sr.value), {"a": a, "b": b})
         with pytest.MonkeyPatch.context() as m:
-            calls = _count_calls(m, "pull_pairs", "push_is_cheaper")
-            table = ex._join_matmul(_join_node(ex, "matmul"), a, b)
+            calls = _count_calls(m, "pull_pairs", "push_is_cheaper", "fold_rowcol")
+            got = ex._join_matmul(_join_node(ex, "matmul"), a, b)
             assert calls == []
-        assert _same_array(table.rows, a.rows[left])
-        assert _same_array(table.cols, b.cols[right])
-        assert _same_array(table.vals[0], a.vals[left])
-        assert _same_array(table.vals[1], b.vals[right])
-        want = fold_rowcol(sr, a.nrows, 1, a.rows[left], b.cols[right],
-                           vmul(sr, a.vals[left], b.vals[right]))[0]
-        got = fold_rowcol(sr, a.nrows, 1, table.rows, table.cols,
-                          vmul(sr, table.vals[0], table.vals[1]))[0]
-        assert rel_equal(got, want)
+        assert _same_relation(got, want)
 
     def test_vector_missing_a_row_takes_the_probe(self, monkeypatch):
         a = MatrixRelation.from_tuples(R, 3, 4, [(0, 1, 2.0), (2, 3, 0.5)])
         b = MatrixRelation.from_tuples(R, 4, 1, [(0, 0, 1.0), (1, 0, 3.0), (2, 0, 4.0)])
-        ex = _executor(MATVEC_TEXT.replace("SR", "real"), {"a": a, "b": b})
-        calls = _count_calls(monkeypatch, "pull_pairs")
-        table = ex._join_matmul(_join_node(ex, "matmul"), a, b)
+        ex = _executor(MATMAT_TEXT.replace("SR", "real"), {"a": a, "b": b})
+        calls = _count_calls(monkeypatch, "pull_pairs", "fold_rowcol")
+        out = ex._join_matmul(_join_node(ex, "matmul"), a, b)
         assert calls == ["pull_pairs"]
-        assert table.rows.tolist() == [0] and table.vals[1].tolist() == [3.0]
+        assert out.to_dict() == {(0, 0): 6.0}
 
     @pytest.mark.parametrize("shape", [(1, 1), (6, 1), (3, 4)])
     @pytest.mark.parametrize("full", [True, False])
@@ -1524,3 +1537,108 @@ class TestKeyAlignedJoins:
         n, edges, _ = graphs["path"]
         run_stdlib("wcc", make_graph_input(n, edges, "bool"))
         assert calls
+
+
+# payloads that reach every branch of the kernels: REAL signed zeros, NaN
+# and infinities; INT values whose products or sums overflow
+KERNEL_VALUES = {
+    B: st.booleans(),
+    I: st.sampled_from([-3, -1, 0, 1, 2, 3 * 2**31, 2**62, -(2**62)]),
+    R: st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, -1e16, 0.1, -2.5]),
+    T: st.sampled_from([0.0, 0.5, 2.0, math.inf, math.nan]),
+}
+
+
+@st.composite
+def product_operands(draw):
+    """The operands of a product in one of the shapes the kernel tells
+    apart: `b` a full or partial one-column relation or of several
+    columns, an inner dimension of 0, 1 or more, `a` full or partial, and
+    either side empty. Full relations are dense and may hold identities."""
+    sr = draw(st.sampled_from([B, I, R, T]))
+    n1 = draw(st.integers(0, 5))
+    n2 = draw(st.sampled_from([0, 1, 1, 2, 3, 5]))
+    n3 = draw(st.sampled_from([1, 1, 2, 3]))
+
+    def relation(nr, nc, full):
+        cells = [(i, j) for i in range(nr) for j in range(nc)]
+        if not full:
+            cells = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+        tuples = [(i, j, draw(KERNEL_VALUES[sr])) for i, j in cells]
+        return MatrixRelation.from_tuples(sr, nr, nc, tuples, dense=full)
+
+    a = relation(n1, n2, draw(st.booleans()))
+    b = relation(n2, n3, draw(st.booleans()))
+    return sr, a, b
+
+
+class TestMatmulKernel:
+    """The one-node product against the three-node formulation it replaced,
+    kept here as the reference: pairs, then `vmul`, then `fold_rowcol`."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(operands=product_operands(), push=st.booleans())
+    def test_equals_pairs_map_fold(self, operands, push):
+        """Bitwise equal in every semiring and either direction (forced by
+        the cost rule; a full one-column `b` never asks it, and its pairs
+        were pull's before too), and an INT overflow raises the same error."""
+        sr, a, b = operands
+        ex = _executor(MATMAT_TEXT.replace("SR", sr.value), {"a": a, "b": b})
+        node = _join_node(ex, "matmul")
+        full_vector = b.ncols == 1 and len(b) == b.nrows
+        pairs = push_pairs if push and not full_vector else pull_pairs
+        # a REAL sum of inf and -inf is NaN, with numpy's warning
+        with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as m:
+            try:
+                want = _matmul_reference(sr, a, b, pairs)
+            except ArithmeticOverflowError as exc:
+                want = exc
+            m.setattr(engine, "push_is_cheaper", lambda a, b: push)
+            try:
+                got = ex._join_matmul(node, a, b)
+            except ArithmeticOverflowError as exc:
+                got = exc
+        if isinstance(want, ArithmeticOverflowError):
+            assert isinstance(got, ArithmeticOverflowError)
+            assert (got.op, got.operands) == (want.op, want.operands)
+            return
+        assert isinstance(got, MatrixRelation)
+        assert _same_relation(got, want)
+        assert_canonical(got)
+        nid = ex.pf.node_id(node)
+        assert ex.stats.aggregations_executed == {nid: 1}
+        assert ex.stats.push_joins == ({nid: 1} if push and not full_vector else {})
+
+    def test_overflow_in_a_product_and_in_a_sum(self):
+        """An INT product and an INT row sum that leave 64 bits raise the
+        reference's error, on the full-vector path and the probe alike."""
+        big = 2**62
+        a = MatrixRelation.from_tuples(I, 1, 2, [(0, 0, big), (0, 1, big)])
+        cases = {
+            "mul": MatrixRelation.from_tuples(I, 2, 1, [(0, 0, 2)]),
+            "add": MatrixRelation(I, 2, 1, np.arange(2), np.zeros(2, np.int64),
+                                  np.ones(2, np.int64), dense=True),
+        }
+        for op, b in cases.items():
+            with pytest.raises(ArithmeticOverflowError) as want:
+                _matmul_reference(I, a, b, pull_pairs)
+            ex = _executor(MATMAT_TEXT.replace("SR", "int"), {"a": a, "b": b})
+            with pytest.raises(ArithmeticOverflowError) as got:
+                ex._join_matmul(_join_node(ex, "matmul"), a, b)
+            assert got.value.op == want.value.op == op
+            assert got.value.operands == want.value.operands
+
+    def test_row_runs_are_cached(self):
+        """A full one-column `b` folds over a's row runs, built once per
+        relation, so a hoisted operand pays for them once."""
+        a = MatrixRelation.from_tuples(R, 3, 3, [(0, 0, 1.0), (0, 2, 2.0), (2, 1, 4.0)])
+        b = MatrixRelation(R, 3, 1, np.arange(3), np.zeros(3, np.int64), np.full(3, 0.5),
+                           dense=True)
+        ex = _executor(MATMAT_TEXT.replace("SR", "real"), {"a": a, "b": b})
+        node = _join_node(ex, "matmul")
+        assert a._row_starts is None
+        first = ex._join_matmul(node, a, b)
+        starts = a._row_starts
+        assert starts.tolist() == [0, 2]
+        assert rel_equal(ex._join_matmul(node, a, b), first) and a._row_starts is starts
+        assert first.to_dict() == {(0, 0): 1.5, (2, 0): 2.0}

@@ -461,6 +461,23 @@ class TestWrite:
                 ids = np.sort(rng.choice(2**40, nrows, replace=False)).astype(np.uint64)
                 assert write_result(rel, ids, None) == rows_reference(rel, ids), (sr, nrows, ncols)
 
+    @pytest.mark.parametrize("sr", [R, T])
+    @pytest.mark.parametrize("kind", ["whole", "mixed"])
+    def test_whole_and_mixed_vectors_match_format_value(self, sr, kind):
+        """A vector of whole values only, such as bfs's levels, takes the
+        integer formatting alone; a mixed one formats each value once, as
+        an integer or by `repr`, in place."""
+        whole = [0.0, -0.0, 3.0, 1e16 - 2, -(1e16 - 2), 2.0**53, 7.0, 120.0]
+        vals = np.array(whole if kind == "whole" else whole + [0.5, -2.25, 1e16, 1e300, math.nan])
+        n = len(vals)
+        rel = MatrixRelation(sr, n, 1, np.arange(n), np.zeros(n, np.int64), vals, dense=True)
+        ids = np.arange(100, 100 + n, dtype=np.uint64)
+        text = write_result(rel, ids, None)
+        assert text == rows_reference(rel, ids)
+        assert [line.split("\t")[1] for line in text.splitlines()] == [
+            format_value(sr, v) for v in vals.tolist()
+        ]
+
     def test_shortest_roundtrip_floats(self):
         assert format_value(R, 0.1) == "0.1"
         assert format_value(R, 2.5) == "2.5"

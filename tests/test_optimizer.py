@@ -397,8 +397,8 @@ class TestInPlace:
         assert isinstance(loop, PLoop)
         assert loop.fixpoint
         assert loop.inplace == (True,)
-        # the body is now just the delta aggregation
-        assert isinstance(loop.bodies[0], PAggregate)
+        # the body is now just the delta: the product, merged as is
+        assert isinstance(loop.bodies[0], PJoin) and loop.bodies[0].pattern == "matmul"
 
     def test_reach_apply_add_normalized_then_rewritten(self, reach_src):
         pf = _reach_pf(reach_src, 2)
@@ -406,6 +406,8 @@ class TestInPlace:
 
     @pytest.mark.parametrize("name", ["reach", "bfs", "sssp", "wcc"])
     def test_inplace_body_folds_to_one_aggregate(self, name):
+        """The in-place body is the bare product: its matmul join is the one
+        fold, merged as is, with no `Aggregate` wrapper to re-scan it."""
         def aggregates(node):
             own = 1 if isinstance(node, PAggregate) else 0
             return own + sum(aggregates(c) for c in children(node))
@@ -414,7 +416,9 @@ class TestInPlace:
             stdlib.entry_function(name)
         )
         assert pf.root.inplace == (True,)
-        assert aggregates(pf.root.bodies[0]) == 1
+        (body,) = pf.root.bodies
+        assert isinstance(body, PJoin) and body.pattern == "matmul"
+        assert aggregates(body) == 0
 
         from graphalg.harness import run_stdlib
 
@@ -588,6 +592,14 @@ func f(G: Matrix<s, s, {sr}>, src: Vector<s, {sr}>) -> Vector<s, {sr}> {{
 """
 
 
+# the seeds of `gen_program(0..2999)` whose opt-2 plan has a semi-naive state
+FIRING_SEEDS = [
+    67, 68, 138, 326, 667, 857, 863, 882, 913, 945, 1000, 1049, 1071, 1094, 1192,
+    1464, 1615, 1644, 1688, 1689, 1974, 2071, 2258, 2263, 2306, 2454, 2469, 2532,
+    2660, 2790,
+]
+
+
 class TestSemiNaive:
     """The rule that binds an in-place state to its last change set."""
 
@@ -680,14 +692,14 @@ func f(G: Matrix<s, s, bool>, a: Vector<s, bool>, b: Vector<s, bool>) -> Vector<
         """Over the generated programs the rule fires on, every level, the
         naive plan and the fixpoint-free run give the same bits, and the
         semi-naive loops pass through the same states."""
-        fired = 0
+        fired = []
         for seed in range(3000):
             gp = gen_program(seed)
             text = pretty_print(gp.program)
             pf = compile_source(text, opt_level=2).plan_for("main")
             if not _fires(pf):
                 continue
-            fired += 1
+            fired.append(seed)
             _, args = gen_inputs(gp, seed)
             runs = [
                 (compile_source(text, opt_level=0).plan_for("main"), {}),
@@ -719,25 +731,28 @@ func f(G: Matrix<s, s, bool>, a: Vector<s, bool>, b: Vector<s, bool>) -> Vector<
             for (_, _, a), (_, _, b) in zip(naive, semi):
                 assert a.keys() == b.keys()
                 assert all(rel_equal(a[k], b[k]) for k in a), f"seed {seed}"
-        # 30 of these 3000 programs have a state the rule takes
-        assert fired >= 20
+        # the programs with a state the rule takes, as before products
+        # became one join node
+        assert fired == FIRING_SEEDS
 
     def test_sssp_join_work_scales_with_edges(self):
         """Naive sssp feeds the whole state to the join every iteration, so
-        the join emits about iterations x edges tuples; semi-naive feeds it
-        only the changed distances."""
-        g, m = _grid(30, seed=7)
+        the join reads about iterations x vertices state tuples, and their
+        edges; semi-naive feeds it only the changed distances."""
+        g, _ = _grid(30, seed=7)
+        n = 900
         pf = compile_source(stdlib.source("sssp"), opt_level=2).plan_for("sssp")
-        (join,) = [n for n in pf.nodes if isinstance(n, PJoin) and n.pattern == "matmul"]
-        binding = CallBinding(args={"G": g.adjacency, "src": source_vector(900, 0, T)})
+        (join,) = [x for x in pf.nodes if isinstance(x, PJoin) and x.pattern == "matmul"]
+        (state,) = [side for side in (join.left, join.right) if isinstance(side, PScanArg)]
+        binding = CallBinding(args={"G": g.adjacency, "src": source_vector(n, 0, T)})
         out, stats = execute(pf, binding)
         iterations = stats.loop_iterations[pf.node_id(pf.root)]
         assert iterations > 50
-        assert stats.tuples_produced[pf.node_id(join)] <= 3 * m
+        assert stats.tuples_produced[pf.node_id(state)] <= 2 * n
         naive_out, naive = execute(_without_seminaive(pf), binding)
         assert rel_equal(out, naive_out)
         assert naive.loop_iterations == stats.loop_iterations
-        assert naive.tuples_produced[pf.node_id(join)] > 10 * m
+        assert naive.tuples_produced[pf.node_id(state)] > 20 * n
 
 
     def test_sssp_pushes_on_a_grid(self):

@@ -58,19 +58,20 @@ func f(a: Matrix<s, s, real>, b: Matrix<s, s, real>) -> Matrix<s, s, real> {
         assert isinstance(join.left, PScanArg) and join.left.name == "a"
         assert isinstance(join.right, PScanArg) and join.right.name == "b"
 
-    def test_matmul_is_join_map_aggregate(self):
+    def test_matmul_is_one_join(self):
+        """A product is one matmul join, which multiplies and folds: no map
+        or aggregate sits above it, and it passes on one value column."""
         text = """
 func f(a: Matrix<s, s, real>, b: Matrix<s, s, real>) -> Matrix<s, s, real> {
     return a * b;
 }
 """
         pf = plans_for(text)["f"]
-        assert isinstance(pf.root, PAggregate)
-        assert pf.root.group_by == "rowcol" and pf.root.combine == "add"
-        mapped = pf.root.input
-        assert isinstance(mapped, PMap)
-        assert isinstance(mapped.input, PJoin)
-        assert mapped.input.pattern == "matmul"
+        assert isinstance(pf.root, PJoin) and pf.root.pattern == "matmul"
+        assert isinstance(pf.root.left, PScanArg) and pf.root.left.name == "a"
+        assert isinstance(pf.root.right, PScanArg) and pf.root.right.name == "b"
+        assert pf.root.val_tags == (R,)
+        assert len(pf.nodes) == 3
 
     def test_one_vector_materializes_ones(self):
         text = """
@@ -122,7 +123,7 @@ func f(v: Vector<3, bool>) -> Vector<3, bool> {
         join = body.input
         assert isinstance(join, PJoin) and join.pattern == "pointwise"
         assert isinstance(join.left, PScanArg) and join.left.name == pf.root.states[0][0]
-        assert isinstance(join.right, PAggregate)  # the matmul
+        assert isinstance(join.right, PJoin) and join.right.pattern == "matmul"
 
 
 class TestPretty:
@@ -147,10 +148,11 @@ class TestPretty:
 
     def test_reach_plan_snapshot_structure(self, reach_src):
         text = pretty_plan(plans_for(reach_src)["reach"])
-        # loop over scan/join/aggregate, matching the published plan shape
+        # loop over scan/join, matching the published plan shape; the join
+        # is the whole product, with no aggregate above it
         assert "Loop(" in text
-        assert "Join(matmul" in text
-        assert "Aggregate(rowcol, add)" in text
+        assert "Join(matmul, inner)[sx1:bool" in text
+        assert "Aggregate" not in text
         assert "ScanArg(G)" in text
 
     def test_reach_plan_golden(self, reach_src):
@@ -160,12 +162,10 @@ class TestPretty:
   next v$0 <- #2 Map[sx1:bool, SPARSE]
     #3 Join(pointwise, outer-pad)[sx1, SPARSE]
       #4 ScanArg(v$0)[sx1:bool, SPARSE]
-      #5 Aggregate(rowcol, add)[sx1:bool, SPARSE]
-        #6 Map[sx1:bool, SPARSE]
-          #7 Join(matmul, inner)[sx1, SPARSE]
-            #8 Transpose[sxs, SPARSE]
-              #9 ScanArg(G)[sxs:bool, SPARSE]
-            ref #4
+      #5 Join(matmul, inner)[sx1:bool, SPARSE]
+        #6 Transpose[sxs, SPARSE]
+          #7 ScanArg(G)[sxs:bool, SPARSE]
+        ref #4
 """
         assert pretty_plan(plans_for(reach_src)["reach"]) == golden
 
@@ -265,9 +265,9 @@ class TestShare:
             if isinstance(n, PMap) and isinstance(n.val, SCast) and n.input.ty.sr is I
         ]
         assert len(casts) == 1  # `cast<real>(n)`, written three times
-        assert len(pf.nodes) <= 76
+        assert len(pf.nodes) <= 58
         unshared = _unshared(compile_source(stdlib.source("pr")), "pagerank", 2)
-        assert len(unshared.nodes) == 117
+        assert len(unshared.nodes) == 95
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     @pytest.mark.parametrize("name", STDLIB)
