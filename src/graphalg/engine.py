@@ -27,6 +27,11 @@ O(|state|); its relation is rebuilt, in O(nrows), only for the iteration
 observer, debug checks and the loop result. Other states keep a sorted
 table.
 
+Code motion reaches across calls too: the value of each call-invariant
+subplan (`optimizer.call_invariant_pass`) is kept on the argument relation
+it reads, and a later call that binds the same relation object reads it
+instead of recomputing it (`Executor._eval_invariant`).
+
 Sorting costs O(n) for n tuples. Every fold (`fold_rowcol`,
 `first_per_row`, `canonicalize`) and every column index orders its keys
 with `stable_order`. It first counts the key's descents in one O(n)
@@ -66,6 +71,7 @@ results whichever direction ran.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -87,6 +93,7 @@ from .plan import (
     PTranspose,
     PlanFunction,
     PlanNode,
+    children,
 )
 from .semiring import (
     NUMPY_DTYPE,
@@ -116,7 +123,8 @@ class MatrixRelation:
     Relations are never mutated after construction: no operator writes into
     an input array, though an output may share arrays with its inputs, and
     the loop's iteration observer keeps earlier states. The cached column
-    index and row runs rely on that.
+    index and row runs rely on that, and so do the values of call-invariant
+    subplans kept on an argument relation (`derived`).
     """
 
     sr: SemiringTag
@@ -135,9 +143,22 @@ class MatrixRelation:
     _row_starts: Optional[np.ndarray] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _derived: Optional[weakref.WeakKeyDictionary] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def derived(self) -> weakref.WeakKeyDictionary:
+        """The values of the call-invariant subplans that read this relation
+        (`optimizer.call_invariant_pass`), by plan node, each with the
+        counters its first evaluation recorded. The nodes are held weakly,
+        so dropping a plan frees its values; the values live as long as the
+        relation does."""
+        if self._derived is None:
+            self._derived = weakref.WeakKeyDictionary()
+        return self._derived
 
     def row_starts(self) -> np.ndarray:
         """The position of each row's first tuple, for the rows that hold
@@ -366,6 +387,17 @@ class ExecStats:
         if produced > self.peak_tuples.get(nid, 0):
             self.peak_tuples[nid] = produced
 
+    def add(self, nid: int, counts: NodeCounts):
+        """Count one evaluation of node `nid` that recorded `counts`."""
+        self.record(nid, counts.tuples)
+        for counter, n in (
+            (self.aggregations_executed, counts.aggregations),
+            (self.push_joins, counts.push_joins),
+        ):
+            if n:
+                counter[nid] = counter.get(nid, 0) + n
+        self.division_by_zero += counts.division_by_zero
+
     def aggregations_for_label(self, label: str) -> int:
         nid = self.labels.get(label)
         if nid is None:
@@ -392,6 +424,16 @@ class ExecStats:
         for nid in sorted(self.tuples_produced):
             lines.append(f"tuples_produced.node{nid}={self.tuples_produced[nid]}")
         return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class NodeCounts:
+    """The counters one evaluation of one plan node records."""
+
+    tuples: int
+    aggregations: int
+    push_joins: int
+    division_by_zero: int
 
 
 @dataclass
@@ -793,6 +835,10 @@ class Executor:
         self.stats = ExecStats()
         self.flags = DivisionFlags()
         self.dimsizes: dict[str, int] = {}
+        # the call's own memo, and the counts of each call-invariant node
+        # (by id) it has counted
+        self._call_memo: dict = {}
+        self._counted: dict[int, NodeCounts] = {}
         self._bind()
 
     # -- binding --
@@ -875,7 +921,7 @@ class Executor:
             label = getattr(node, "label", None)
             if label:
                 self.stats.labels[label] = self.pf.node_id(node)
-        result = self.eval(self.pf.root, env, {})
+        result = self.eval(self.pf.root, env, self._call_memo)
         if isinstance(result, TupleTable):
             raise EngineError("plan root produced an intermediate table")
         return result
@@ -886,12 +932,68 @@ class Executor:
         key = id(node)
         if key in memo:
             return memo[key]
-        result = self._eval(node, env, memo)
-        self.stats.record(self.pf.node_id(node), len(result))
+        if memo is self._call_memo and key in self.pf.invariant_nodes:
+            result = self._eval_invariant(node, env, memo)
+        else:
+            result = self._eval(node, env, memo)
+            self.stats.record(self.pf.node_id(node), len(result))
         if self.options.debug_checks and isinstance(result, MatrixRelation):
             assert_canonical(result)
         memo[key] = result
         return result
+
+    def _eval_invariant(self, node: PlanNode, env: dict, memo: dict):
+        """A node of a call-invariant subplan, in the call's own scope.
+
+        A marked node whose value its argument relation holds is not
+        evaluated: the value seeds the memo, as a hoisted value seeds an
+        iteration's, and the counts its first evaluation recorded are
+        counted again. Otherwise the node is evaluated, after its children,
+        so that the counters it records are its own, and a marked node's
+        value is kept on the relation with the counts of its subplan.
+
+        Each node of these subplans is counted once per call, the first
+        time it is evaluated or replayed (`_counted`). A node replayed with
+        a marked ancestor may be evaluated later too, by a reader outside
+        the subplan; so, cold or warm, a call counts the same evaluations,
+        and its stats are equal. The values are looked up when the call
+        first needs them, not up front, so a subplan the call does not
+        reach (one hoisted out of a loop that runs 0 times) counts nothing.
+        """
+        marked = self.pf.call_invariant.get(id(node))
+        if marked is not None:
+            param, subplan = marked
+            cache = self.binding.args[param].derived()
+            hit = cache.get(node)
+            if hit is not None:
+                value, counts = hit
+                for n, c in zip(subplan, counts):
+                    self._count_once(n, c)
+                return value
+        for child in children(node):
+            self.eval(child, env, memo)
+        stats, flags = self.stats, self.flags
+        self.stats, self.flags = ExecStats(), DivisionFlags()
+        try:
+            result = self._eval(node, env, memo)
+        finally:
+            own, own_flags = self.stats, self.flags
+            self.stats, self.flags = stats, flags
+        nid = self.pf.node_id(node)
+        self._count_once(node, NodeCounts(
+            len(result),
+            own.aggregations_executed.get(nid, 0),
+            own.push_joins.get(nid, 0),
+            own_flags.division_by_zero,
+        ))
+        if marked is not None:
+            cache[node] = (result, tuple(self._counted[id(n)] for n in subplan))
+        return result
+
+    def _count_once(self, node: PlanNode, counts: NodeCounts):
+        if id(node) not in self._counted:
+            self._counted[id(node)] = counts
+            self.stats.add(self.pf.node_id(node), counts)
 
     def loop_states(self, node: PLoop, env: dict, memo: dict) -> dict:
         """A loop's final states by name: one memo entry, copied whole."""
@@ -1170,10 +1272,13 @@ def execute(
     """Run a compiled plan against bound arguments.
 
     Deterministic: identical (plan, binding) pairs produce identical
-    canonical relations and stats.
+    canonical relations and stats. That holds warm or cold: a call that
+    reads the values of call-invariant subplans an earlier call kept on an
+    argument relation returns the same relation and the same stats as a
+    call on a fresh copy of that relation.
     """
     options = options or ExecOptions()
     executor = Executor(pf, binding, options)
     result = executor.run()
-    executor.stats.division_by_zero = executor.flags.division_by_zero
+    executor.stats.division_by_zero += executor.flags.division_by_zero
     return result, executor.stats

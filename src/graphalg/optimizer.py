@@ -15,6 +15,13 @@ body that reads no loop state and not the loop index is hoisted (bare
 scans and constants stay): it stays in the body, shared by node
 identity, and the loop lists it so the engine evaluates it once before
 the first iteration.
+
+Code motion also lifts from the loop to the call (`call_invariant_pass`):
+every maximal subplan that runs once per call and reads one matrix
+parameter and nothing else is marked, and the engine keeps its value on
+the argument relation, so a later call on the same graph reads it instead
+of recomputing it (wcc's `A (.+) A.T`, the `G.T` of reach, bfs and sssp,
+pr's `GR.T` and row sums).
 """
 
 from __future__ import annotations
@@ -250,6 +257,97 @@ def licm_pass(pf: PlanFunction) -> PlanFunction:
     return finalize(replace(pf, root=rewrite(pf.root, fn)))
 
 
+def _dims(node: PlanNode, syms: frozenset, memo: dict[int, bool]) -> bool:
+    """Whether a subplan holds no loop and names only dimension symbols in
+    `syms`, in its types and domain scans."""
+    if id(node) in memo:
+        return memo[id(node)]
+    used = [node.ty.rows, node.ty.cols] + ([node.dim] if isinstance(node, PScanDomain) else [])
+    ok = (
+        not isinstance(node, (PLoop, PLoopState))
+        and all(not isinstance(d, A.DimSym) or d.name in syms for d in used)
+        and all(_dims(c, syms, memo) for c in children(node))
+    )
+    memo[id(node)] = ok
+    return ok
+
+
+def _preorder(node: PlanNode) -> tuple[PlanNode, ...]:
+    out: dict[int, PlanNode] = {}
+
+    def visit(n: PlanNode):
+        if id(n) not in out:
+            out[id(n)] = n
+            for c in children(n):
+                visit(c)
+
+    visit(node)
+    return tuple(out.values())
+
+
+def call_invariant_pass(pf: PlanFunction) -> PlanFunction:
+    """Mark every maximal call-invariant subplan.
+
+    A subplan is call-invariant when it runs once per call, that is, it
+    lies outside every loop body or is hoisted out of the outermost loop,
+    and it reads exactly one matrix parameter P and nothing else: no other
+    argument, no loop state or index, no loop, and no dimension symbol but
+    those of P's declared type (so pr's `iters` disqualifies). Bare leaves
+    are not marked, as in `_hoist_loop`. A node reached only through a
+    marked ancestor is not marked itself.
+
+    Soundness: plan nodes are pure, and a relation is never mutated after
+    construction, so a call-invariant subplan has the same value in every
+    call that binds P to the same relation object, and the engine keeps
+    that value on the relation. The relation's cached column index and row
+    runs rely on the same condition. The marks are `pf.call_invariant` (id
+    of the node -> P and the subplan's nodes in pre-order) and
+    `pf.invariant_nodes`.
+    """
+    scanned = {n.name for n in pf.nodes if isinstance(n, PScanArg)}
+    tests = []
+    for name, ty in pf.params:
+        if not ty.is_vector:
+            syms = frozenset(d.name for d in (ty.rows, ty.cols) if isinstance(d, A.DimSym))
+            # memos of _references for {name}, for the other names, of _dims
+            tests.append((name, syms, scanned - {name}, ({}, {}, {})))
+
+    def reads(node: PlanNode) -> str | None:
+        for name, syms, others, (own, other, dims) in tests:
+            if (
+                _references(node, {name}, own)
+                and not _references(node, others, other)
+                and _dims(node, syms, dims)
+            ):
+                return name
+        return None
+
+    marked: dict[int, tuple[str, tuple]] = {}
+    seen: set[int] = set()
+
+    def find(node: PlanNode):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        name = None if isinstance(node, _LEAVES) else reads(node)
+        if name is not None:
+            marked[id(node)] = (name, _preorder(node))
+            return
+        # a loop's bodies run once per iteration; its hoisted subplans and
+        # state inits once per call
+        if isinstance(node, PLoop):
+            subs = tuple(p for _, p in node.hoisted) + tuple(i for _, i in node.states)
+        else:
+            subs = children(node)
+        for sub in subs:
+            find(sub)
+
+    if tests:
+        find(pf.root)
+    region = frozenset(id(n) for _, sub in marked.values() for n in sub)
+    return replace(pf, call_invariant=marked, invariant_nodes=region)
+
+
 # ---------------------------------------------------------------------------
 # In-place aggregation across iterations (plans)
 # ---------------------------------------------------------------------------
@@ -405,5 +503,5 @@ def optimize_plan(pf: PlanFunction, level: int) -> PlanFunction:
     if level >= 2:
         pf = inplace_agg_pass(pf)
     if level >= 1:
-        pf = licm_pass(pf)
+        pf = call_invariant_pass(licm_pass(pf))
     return pf

@@ -166,6 +166,11 @@ class PlanFunction:
     # assigned by finalize(): deterministic pre-order ids
     node_ids: dict = field(default_factory=dict)  # id(node) -> int
     nodes: list = field(default_factory=list)
+    # assigned by optimizer.call_invariant_pass, reset by finalize():
+    # id(node) -> (the matrix parameter it reads, its nodes in pre-order)
+    call_invariant: dict = field(default_factory=dict)
+    # the ids of every node of those subplans
+    invariant_nodes: frozenset = frozenset()
 
     def node_id(self, node: PlanNode) -> int:
         return self.node_ids[id(node)]
@@ -338,9 +343,13 @@ def compile_program(cp: CoreProgram) -> dict[str, PlanFunction]:
 
 
 def finalize(pf: PlanFunction):
-    """Assign deterministic pre-order ids to every node in the DAG."""
+    """Assign deterministic pre-order ids to every node in the DAG. The
+    call-invariant marks name nodes of the DAG they were computed on, so
+    they are dropped."""
     pf.node_ids = {}
     pf.nodes = []
+    pf.call_invariant = {}
+    pf.invariant_nodes = frozenset()
 
     def visit(node: PlanNode):
         if id(node) in pf.node_ids:

@@ -238,7 +238,9 @@ def vadd(sr: SemiringTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _check_int_add_overflow(a, b, r, "add")
         return r
     if sr is SemiringTag.REAL:
-        return a + b
+        # inf + -inf is the IEEE NaN, without numpy's warning
+        with np.errstate(invalid="ignore"):
+            return a + b
     return np.fmin(a, b)
 
 
@@ -293,7 +295,8 @@ def vadd_reduceat(sr: SemiringTag, vals: np.ndarray, starts: np.ndarray) -> np.n
                     raise ArithmeticOverflowError("add", "segment-sum", exact)
         return r
     if sr is SemiringTag.REAL:
-        return np.add.reduceat(vals, starts)
+        with np.errstate(invalid="ignore"):
+            return np.add.reduceat(vals, starts)
     return np.fmin.reduceat(vals, starts)
 
 

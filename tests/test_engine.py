@@ -196,6 +196,24 @@ func f(a: Vector<s, real>, b: Vector<s, real>) -> Vector<s, real> {
         assert out.to_dict()[(0, 0)] == math.inf
         assert out.to_dict()[(1, 0)] == 1.5
 
+    def test_sum_of_opposite_infinities_is_nan_without_warning(self):
+        """A REAL fold (row 0 of the product) and a REAL merge (row 1 of the
+        sum) of inf and -inf give the IEEE NaN; numpy's warning would be an
+        error under the suite's warning filter."""
+        text = """
+func f(a: Matrix<s, t, real>, b: Vector<t, real>, c: Vector<s, real>) -> Vector<s, real> {
+    return (a * b) (.+) c;
+}
+"""
+        inf = math.inf
+        a = MatrixRelation.from_tuples(R, 2, 2, [(0, 0, inf), (0, 1, -inf), (1, 0, inf)])
+        b = MatrixRelation.from_tuples(R, 2, 1, [(0, 0, 1.0), (1, 0, 1.0)])
+        c = MatrixRelation.from_tuples(R, 2, 1, [(1, 0, -inf)])
+        out, _ = run_source(text, "f", CallBinding(args={"a": a, "b": b, "c": c}))
+        values = out.to_dict()
+        assert sorted(values) == [(0, 0), (1, 0)]
+        assert all(math.isnan(v) for v in values.values())
+
 
 def _reachable(roots) -> list:
     """Every plan node reachable from `roots`, each once."""
@@ -1587,8 +1605,7 @@ class TestMatmulKernel:
         node = _join_node(ex, "matmul")
         full_vector = b.ncols == 1 and len(b) == b.nrows
         pairs = push_pairs if push and not full_vector else pull_pairs
-        # a REAL sum of inf and -inf is NaN, with numpy's warning
-        with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as m:
+        with pytest.MonkeyPatch.context() as m:
             try:
                 want = _matmul_reference(sr, a, b, pairs)
             except ArithmeticOverflowError as exc:
