@@ -286,7 +286,12 @@ def _cmd_run(ns: argparse.Namespace) -> int:
             if ns.stats:
                 print(stats.to_text(), end="")
         else:
-            write_result(result, graph.ext_ids, sys.stdout)
+            try:
+                write_result(result, graph.ext_ids, sys.stdout)
+                sys.stdout.flush()
+            except OSError as exc:
+                print(f"cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+                return EXIT_RUNTIME
             if ns.stats:
                 print(stats.to_text(), end="", file=sys.stderr)
         return EXIT_OK

@@ -316,28 +316,59 @@ def format_value(sr: SemiringTag, v) -> str:
     return repr(f)
 
 
-def _id_column(idx: np.ndarray, ext_ids: np.ndarray) -> list[str]:
-    """External ids of internal indices; an index past the last vertex is
-    written as it is."""
-    ids = idx.astype(np.uint64)
-    inside = idx < len(ext_ids)
-    ids[inside] = ext_ids[idx[inside]]
-    return list(map(str, ids.tolist()))
+class _IdText:
+    """``str(id) + "\t"`` of every external id, for the last ids written.
+
+    A result is written with the same ids on every call on one graph, so
+    their text is built once and kept with a copy of the ids. A hit is an
+    ``np.array_equal`` against that copy, so an array changed in place, or
+    another array of equal length, is never read with stale text, and an
+    equal array in another object hits. One graph's text is kept: about
+    0.35 MB for 5k ids, 7.2 MB for 100k. The pair is read and replaced as
+    one tuple.
+    """
+
+    def __init__(self) -> None:
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __call__(self, ext_ids: np.ndarray) -> np.ndarray:
+        last = self._last
+        if last is not None and np.array_equal(last[0], ext_ids):
+            return last[1]
+        ids = np.array(ext_ids, dtype=np.uint64)
+        text = np.array([f"{i}\t" for i in ids.tolist()], dtype=object)
+        self._last = (ids, text)
+        return text
 
 
-def _value_column(sr: SemiringTag, vals: np.ndarray) -> list[str]:
-    """``format_value`` of every value."""
-    if sr is SemiringTag.BOOL:
-        return np.where(vals, "true", "false").tolist()
-    if sr is SemiringTag.INT:
-        return list(map(str, vals.tolist()))
-    whole = np.isfinite(vals) & (np.abs(vals) < 1e16) & (np.trunc(vals) == vals)
-    if whole.all():
-        return list(map(str, vals.astype(np.int64).tolist()))
+_id_text = _IdText()
+
+
+def _id_column(idx: np.ndarray, ext_ids: np.ndarray) -> np.ndarray:
+    """``str(id) + "\t"`` of the external id of each internal index; an
+    index past the last vertex is written as it is."""
+    text = _id_text(ext_ids)
+    if not len(idx) or idx.max() < len(text):
+        return text[idx]
+    out = np.array([f"{i}\t" for i in idx.tolist()], dtype=object)
+    inside = idx < len(text)
+    out[inside] = text[idx[inside]]
+    return out
+
+
+def _value_column(sr: SemiringTag, vals: np.ndarray) -> np.ndarray:
+    """``format_value`` of every value, as an object array."""
     text = np.empty(len(vals), dtype=object)
-    text[whole] = list(map(str, vals[whole].astype(np.int64).tolist()))
-    text[~whole] = list(map(repr, vals[~whole].tolist()))
-    return text.tolist()
+    if sr is SemiringTag.BOOL:
+        text[:] = np.where(vals, "true", "false")
+    elif sr is SemiringTag.INT:
+        text[:] = list(map(str, vals.tolist()))
+    else:
+        with np.errstate(invalid="ignore"):  # trunc of a signaling NaN
+            whole = np.isfinite(vals) & (np.abs(vals) < 1e16) & (np.trunc(vals) == vals)
+        text[whole] = list(map(str, vals[whole].astype(np.int64).tolist()))
+        text[~whole] = list(map(repr, vals[~whole].tolist()))
+    return text
 
 
 def write_result(
@@ -349,16 +380,26 @@ def write_result(
 
     Tropical +inf entries are the additive identity and are omitted, like
     any absent tuple.
+
+    Each distinct value is formatted once, and its text is gathered to
+    the lines that hold it. ``np.unique`` groups values that compare
+    equal, and all NaNs into one group. Sound because ``format_value``
+    gives one text to the values of a group, so grouping never merges two
+    texts: 0.0 and -0.0 both write ``0``, and every NaN, of either sign
+    and any payload, writes ``nan``. The id text comes from ``_id_text``,
+    built once per graph.
     """
     rows, cols, vals = rel.rows, rel.cols, rel.vals
     if rel.sr is SemiringTag.TROP:
         keep = vals != np.inf
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    columns = [_id_column(rows, ext_ids)]
+    uniq, inverse = np.unique(vals, return_inverse=True)
+    lines = _id_column(rows, ext_ids)
     if rel.ncols != 1:
-        columns.append(_id_column(cols, ext_ids))
-    columns.append(_value_column(rel.sr, vals))
-    text = "\n".join(map("\t".join, zip(*columns))) + "\n" if len(rows) else ""
+        lines = lines + _id_column(cols, ext_ids)
+    lines = (lines + _value_column(rel.sr, uniq)[inverse]).tolist()
+    lines.append("")  # the last line's newline
+    text = "\n".join(lines)
     if isinstance(out, (str, Path)):
         Path(out).write_text(text)
     elif out is not None:

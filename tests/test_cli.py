@@ -1,5 +1,6 @@
 """Driver behavior: pipeline wiring, preprocessing, exit codes."""
 
+import errno
 import importlib.resources as res
 import os
 import re
@@ -256,6 +257,30 @@ class TestRun:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"cannot write {out}: ")
+
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    def test_stdout_write_error_is_runtime_error(
+        self, program_file, graph_files, monkeypatch, capsys, fails
+    ):
+        class Full:
+            """A standard output on a full device."""
+
+            def write(self, text):
+                if fails == "write":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return len(text)
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        v, e = graph_files
+        monkeypatch.setattr(sys, "stdout", Full())
+        code = main(["run", str(program_file), "--vertices", str(v), "--edges", str(e),
+                     "--source", "10"])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"cannot write standard output: {os.strerror(errno.ENOSPC)}"
+        ]
 
     @pytest.mark.parametrize("name, phase", [
         ("compile_source", "compiling"),

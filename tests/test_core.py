@@ -3,22 +3,34 @@
 import pytest
 
 from genprog import gen_inputs, gen_program
-from reference import RefMat, RefOverflow, canonical_equal, eval_core, eval_surface
+from reference import (
+    RefMat,
+    RefOverflow,
+    canonical_equal,
+    eval_core,
+    eval_surface,
+    rel_canonical,
+)
 from graphalg import ast as A
 from graphalg import stdlib
+from graphalg.api import compile_source
 from graphalg.core import (
     CApply,
+    CDiag,
     CForLoop,
     CMatMul,
     CTranspose,
     CVar,
+    CoreExpr,
     CoreFunction,
     CoreProgram,
     dump_core,
     lower,
     validate_core,
 )
+from graphalg.engine import CallBinding, ExecOptions, execute
 from graphalg.parser import parse
+from graphalg.printer import pretty_print
 from graphalg.semiring import SBin, SVar, SemiringTag, binop_fn
 from graphalg.typecheck import check_program
 
@@ -244,3 +256,46 @@ class TestSemanticsPreservation:
         lowered = eval_core(core, "main", dict(ref_args), gp.dims)
         equal, msg = canonical_equal(surface.sr, surface.canonical(), lowered.canonical())
         assert equal, f"seed {seed}: {msg}"
+
+
+# the first 20 seeds of `gen_program` whose lowered Core holds a `CDiag`:
+# the statement that holds a generated `diag` is often dead, and lowering
+# drops it, so a small seed range checks `diag` on few programs or none
+DIAG_SEEDS = [26, 32, 34, 41, 65, 72, 73, 77, 83, 85, 110, 116, 121, 123, 143, 152, 156, 208,
+              210, 212]
+
+
+def _holds_diag(value) -> bool:
+    if isinstance(value, tuple):
+        return any(_holds_diag(item) for item in value)
+    if isinstance(value, CDiag):
+        return True
+    return isinstance(value, CoreExpr) and any(_holds_diag(v) for v in vars(value).values())
+
+
+class TestDiagPrograms:
+    def test_diag_seeds_are_the_first_twenty(self):
+        seeds = []
+        for seed in range(DIAG_SEEDS[-1] + 1):
+            core = lower(check_program(gen_program(seed).program))
+            if any(_holds_diag(fn.expr) for fn in core.functions.values()):
+                seeds.append(seed)
+        assert seeds == DIAG_SEEDS
+
+    @pytest.mark.parametrize("seed", DIAG_SEEDS)
+    def test_engine_matches_reference(self, seed):
+        """Every level's engine result equals the surface reference's."""
+        gp = gen_program(seed)
+        ref_args, eng_args = gen_inputs(gp, seed)
+        expected = eval_surface(check_program(gp.program), "main", dict(ref_args), gp.dims)
+        text = pretty_print(gp.program)
+        for level in (0, 1, 2):
+            out, _ = execute(
+                compile_source(text, opt_level=level).plan_for("main"),
+                CallBinding(args=dict(eng_args), dims=dict(gp.dims)),
+                ExecOptions(debug_checks=True),
+            )
+            equal, msg = canonical_equal(
+                expected.sr, expected.canonical(), rel_canonical(out), tol=1e-9
+            )
+            assert equal, f"seed {seed}@O{level}: {msg}"

@@ -484,6 +484,72 @@ class TestWrite:
         assert format_value(R, 3.0) == "3"
         assert format_value(I, 7) == "7"
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_repeating_values_match_format_value(self, data):
+        """Values drawn from a small pool repeat, so each distinct value's
+        text is gathered to many lines; values that compare equal but
+        differ in bits (0.0 and -0.0, NaNs of either sign and other
+        payloads) share one text."""
+        sr = data.draw(st.sampled_from([R, T, I, B]), label="sr")
+        nrows = data.draw(st.integers(1, 12), label="nrows")
+        ncols = data.draw(st.sampled_from([1, 3]), label="ncols")
+        keys = sorted(data.draw(st.sets(st.integers(0, nrows * ncols - 1)), label="keys"))
+        pool = VALUE_POOLS[sr]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=len(keys), max_size=len(keys)), label="picks")
+        keys = np.array(keys, np.int64)
+        rel = MatrixRelation(sr, nrows, ncols, keys // ncols, keys % ncols, pool[picks], dense=True)
+        # fewer ids than rows: the rows past the last vertex keep their index
+        ids = data.draw(st.sets(st.integers(0, 2**64 - 1), min_size=1, max_size=nrows),
+                        label="ids")
+        ids = np.array(sorted(ids), dtype=np.uint64)
+        assert write_result(rel, ids, None) == rows_reference(rel, ids)
+
+
+def _float_bits(bits: int) -> np.float64:
+    return np.array(bits, np.uint64).view(np.float64)[()]
+
+
+VALUE_POOLS = {
+    R: np.array([0.0, -0.0, math.nan, -math.nan, _float_bits(0x7FF8000000000001),
+                 _float_bits(0xFFF0000000000002), 1.0, 0.1, -2.5, 1e16, math.inf, -math.inf]),
+    T: np.array([0.0, -0.0, math.nan, _float_bits(0xFFF8000000000003), 3.0, 0.5, math.inf]),
+    I: np.array([0, -1, 7, 2**62, -(2**63)]),
+    B: np.array([True, False]),
+}
+
+
+class TestIdText:
+    """The id text of the last ids written is reused only for equal ids."""
+
+    REL = MatrixRelation(R, 3, 1, np.arange(3), np.zeros(3, np.int64), np.array([1.0, 0.5, 2.0]),
+                         dense=True)
+
+    def test_alternating_ids_of_equal_length(self):
+        a = np.array([10, 20, 30], np.uint64)
+        b = np.array([11, 21, 31], np.uint64)
+        for ids in (a, b, a, b):
+            assert write_result(self.REL, ids, None) == rows_reference(self.REL, ids)
+
+    def test_ids_changed_in_place(self):
+        ids = np.array([10, 20, 30], np.uint64)
+        assert write_result(self.REL, ids, None) == "10\t1\n20\t0.5\n30\t2\n"
+        ids[1] = 25
+        assert write_result(self.REL, ids, None) == "10\t1\n25\t0.5\n30\t2\n"
+
+    def test_equal_ids_in_another_object(self):
+        ids = np.array([10, 20, 30], np.uint64)
+        first = write_result(self.REL, ids, None)
+        assert write_result(self.REL, ids.copy(), None) == first == rows_reference(self.REL, ids)
+
+    def test_matrix_past_the_last_vertex(self):
+        rel = MatrixRelation(B, 4, 4, np.array([0, 1, 3]), np.array([3, 0, 2]),
+                             np.ones(3, bool), dense=True)
+        ids = np.array([7, 9], np.uint64)
+        assert write_result(rel, ids, None) == "7\t3\ttrue\n9\t7\ttrue\n3\t2\ttrue\n"
+        assert write_result(rel, ids[:0], None) == "0\t3\ttrue\n1\t0\ttrue\n3\t2\ttrue\n"
+
 
 class TestProperties:
     def test_load_write_roundtrip_edges(self, tmp_path):
