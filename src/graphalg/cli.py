@@ -6,7 +6,9 @@ executes, and writes results or statistics. ``graphalg check`` compiles
 only; ``graphalg oracle`` runs a bundled algorithm against its reference
 implementation on seeded random graphs.
 
-Exit codes: 0 success, 1 usage, 2 compile error, 3 runtime error.
+Exit codes: 0 success, 1 usage, 2 compile error, 3 runtime error. A
+failed write to standard output, in any command, is one line on stderr,
+`cannot write standard output: <reason>`, and exit 3.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ EXIT_COMPILE = 2
 EXIT_RUNTIME = 3
 
 
+class StdoutError(Exception):
+    """A write to standard output failed; `main` reports it."""
+
+
+def _stdout(write, *args, **kwargs):
+    """Call `write`, which writes to standard output and nowhere else, so
+    an `OSError` it raises is a failed write there: it becomes a
+    `StdoutError`. Other `OSError`s are caught where they occur."""
+    try:
+        return write(*args, **kwargs)
+    except OSError as exc:
+        raise StdoutError(exc.strerror or exc) from exc
+
+
 # ---------------------------------------------------------------------------
 # Preprocessing fragments (plan prefixes on the graph argument)
 # ---------------------------------------------------------------------------
@@ -83,7 +99,7 @@ def preprocess_fragment(
         node = PMap(
             ty=node.ty,
             mark=SPARSE,
-            input=node,
+            inputs=(node,),
             val=SVar("v0"),
             filter="row_ne_col",
             label="drop_self_loops",
@@ -233,9 +249,9 @@ def _cmd_run(ns: argparse.Namespace) -> int:
             return EXIT_COMPILE
 
         if ns.dump_core:
-            print(dump_core(compiled.core), end="")
+            _stdout(print, dump_core(compiled.core), end="")
         if ns.dump_plan:
-            print(pretty_plan(pf), end="")
+            _stdout(print, pretty_plan(pf), end="")
         if not _executes(ns):
             return EXIT_OK
 
@@ -284,14 +300,10 @@ def _cmd_run(ns: argparse.Namespace) -> int:
                 print(f"cannot write {ns.output}: {exc.strerror or exc}", file=sys.stderr)
                 return EXIT_RUNTIME
             if ns.stats:
-                print(stats.to_text(), end="")
+                _stdout(print, stats.to_text(), end="")
         else:
-            try:
-                write_result(result, graph.ext_ids, sys.stdout)
-                sys.stdout.flush()
-            except OSError as exc:
-                print(f"cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
-                return EXIT_RUNTIME
+            _stdout(write_result, result, graph.ext_ids, sys.stdout)
+            _stdout(sys.stdout.flush)
             if ns.stats:
                 print(stats.to_text(), end="", file=sys.stderr)
         return EXIT_OK
@@ -325,8 +337,8 @@ def _cmd_check(ns: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_COMPILE
     if ns.dump_core:
-        print(dump_core(compiled.core), end="")
-    print(f"ok: {', '.join(compiled.raw_plans)}")
+        _stdout(print, dump_core(compiled.core), end="")
+    _stdout(print, f"ok: {', '.join(compiled.raw_plans)}")
     return EXIT_OK
 
 
@@ -348,9 +360,9 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
             ns.name, graph, source=src, opt_level=ns.opt_level
         )
         status = "pass" if report.passed else "FAIL"
-        print(f"{ns.name} on {label}: {status}")
+        _stdout(print, f"{ns.name} on {label}: {status}")
         for line in report.mismatches[:10]:
-            print(f"  {line}")
+            _stdout(print, f"  {line}")
         failures += 0 if report.passed else 1
     return EXIT_OK if failures == 0 else EXIT_RUNTIME
 
@@ -396,6 +408,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Standard output is flushed before the exit code is
+    returned, so a failed write is reported here, not by the interpreter
+    at exit."""
+    try:
+        code = _main(argv)
+        _stdout(sys.stdout.flush)
+    except StdoutError as exc:
+        print(f"cannot write standard output: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return code
+
+
+def _main(argv) -> int:
     parser = build_arg_parser()
     try:
         ns = parser.parse_args(argv)

@@ -45,13 +45,16 @@ alone: a stable sort by column of a relation in (row, col) order yields its
 stable comparison sort, so every fold sees its group members in input
 order and REAL sums are bitwise reproducible.
 
-A full relation holds all nrows * ncols positions, so tuple i has key i.
-Where keys line up, a join reuses its inputs' arrays and does not sort,
-probe or scatter: a pointwise join of identical runs or with a full or empty
-side (`align_keys`), a pull against a full vector, a pad onto a full grid.
-These are pr's joins. Interleaved runs, such as wcc's `A (.+) A.T`, keep a
-stable argsort of the two runs, timsort's best case (`merge_runs`). No
-operator writes into an input array, so the sharing is sound.
+Every plan node evaluates to one canonical relation. A full relation
+holds all nrows * ncols positions, so tuple i has key i. Where keys line
+up, an operator reuses its inputs' arrays and does not sort, probe or
+scatter: a map over inputs of identical key runs or with a full or empty
+side (`align_keys`), and a pull against a full vector. These are pr's
+per-iteration operators. A densify scatters its input onto the full grid,
+where each key is its own slot. Interleaved runs, such as wcc's
+`A (.+) A.T`, keep a stable argsort of the two runs, timsort's best case
+(`merge_runs`). No operator writes into an input array, so the sharing is
+sound.
 
 A matmul join is the whole product, a groupjoin: it multiplies the values
 of each matching pair and folds the products per output key with
@@ -84,6 +87,7 @@ from .plan import (
     DENSE,
     PAggregate,
     PConstant,
+    PDensify,
     PJoin,
     PLoop,
     PLoopState,
@@ -190,9 +194,7 @@ class MatrixRelation:
         return (self.nrows, self.ncols)
 
     def keys(self) -> np.ndarray:
-        if self.ncols == 0:
-            return self.rows[:0]
-        return self.rows * np.int64(self.ncols) + self.cols
+        return flat_keys(self.rows, self.cols, max(self.ncols, 1))
 
     def to_dict(self) -> dict[tuple[int, int], object]:
         return {
@@ -342,28 +344,6 @@ def rel_equal(a: MatrixRelation, b: MatrixRelation) -> bool:
 def _bits(vals: np.ndarray) -> np.ndarray:
     """Values as comparable bit patterns: floats compare bitwise."""
     return vals.view(np.int64) if vals.dtype == np.float64 else vals
-
-
-@dataclass
-class TupleTable:
-    """Intermediate multi-column table flowing from a pointwise or cross
-    join to the map above it, sorted by (row, col) with unique keys."""
-
-    nrows: int
-    ncols: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: list[np.ndarray]
-    tags: list[SemiringTag]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-def _as_table(x: Union[MatrixRelation, TupleTable]) -> TupleTable:
-    if isinstance(x, TupleTable):
-        return x
-    return TupleTable(x.nrows, x.ncols, x.rows, x.cols, [x.vals], [x.sr])
 
 
 # ---------------------------------------------------------------------------
@@ -628,25 +608,52 @@ def merge_runs(lkey: np.ndarray, rkey: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return skeys[starts], slot[: len(lkey)], slot[len(lkey) :]
 
 
+def flat_keys(rows: np.ndarray, cols: np.ndarray, stride: int) -> np.ndarray:
+    """The keys `row * stride + col`; a vector's key is its row."""
+    return rows if stride == 1 else rows * np.int64(stride) + cols
+
+
 def align_keys(
-    lt: TupleTable, rt: TupleTable, lkey: np.ndarray, rkey: np.ndarray, size: int, stride
+    lrows: np.ndarray,
+    lcols: np.ndarray,
+    rrows: np.ndarray,
+    rcols: np.ndarray,
+    size: int,
+    stride: int,
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """The union of two sorted unique key runs over `size` positions, as
-    (rows, cols), and each side's slots in it, None where a side is the
-    union. Identical runs are the union; a full side holds key i at
-    position i, so it is the union and the other side's slots are its keys,
-    as is the side opposite an empty one.
-    Each case gives `merge_runs`' result, and sharing a side's arrays is
-    sound because no operator writes into an input array."""
-    if len(lkey) == len(rkey) and np.array_equal(lkey, rkey):
-        return lt.rows, lt.cols, None, None
-    if len(lkey) == size or len(rkey) == 0:
-        return lt.rows, lt.cols, None, rkey
-    if len(rkey) == size or len(lkey) == 0:
-        return rt.rows, rt.cols, lkey, None
+    """The union of two sorted unique key runs over `size` positions, each
+    given by its (rows, cols), as (rows, cols), and each side's slots in it,
+    None where a side is the union.
+
+    A full side holds key i at position i, so it is the union and the other
+    side's slots are its keys, as is the side opposite an empty one; these
+    cases are told by length alone and build no key for the full or empty
+    side. Identical runs are the union. Each case gives `merge_runs`'
+    result, and sharing a side's arrays is sound because no operator writes
+    into an input array."""
+    nl, nr = len(lrows), len(rrows)
+    if nl == size and nr == size:
+        return lrows, lcols, None, None
+    if nl == size or nr == 0:
+        return lrows, lcols, None, flat_keys(rrows, rcols, stride)
+    if nr == size or nl == 0:
+        return rrows, rcols, flat_keys(lrows, lcols, stride), None
+    lkey, rkey = flat_keys(lrows, lcols, stride), flat_keys(rrows, rcols, stride)
+    if nl == nr and np.array_equal(lkey, rkey):
+        return lrows, lcols, None, None
     ukey, lslot, rslot = merge_runs(lkey, rkey)
     rows = ukey // stride
     return rows, ukey - rows * stride, lslot, rslot
+
+
+def _pad(sr: SemiringTag, vals: np.ndarray, slot: Optional[np.ndarray], n: int) -> np.ndarray:
+    """`vals` at `slot` of n positions and the identity elsewhere; `vals`
+    itself where the slot is None."""
+    if slot is None:
+        return vals
+    out = np.full(n, ZERO_PAYLOAD[sr], NUMPY_DTYPE[sr])
+    out[slot] = vals
+    return out
 
 
 @dataclass
@@ -904,7 +911,7 @@ class Executor:
                         f"node #{self.pf.node_id(node)}: dense domain of {n} "
                         f"positions exceeds the limit {limit}"
                     )
-            if isinstance(node, PJoin) and node.pattern in ("pad", "cross"):
+            if isinstance(node, PDensify):
                 nr, nc = self.shape(node)
                 if nr * nc > limit:
                     raise DenseLimitError(
@@ -921,10 +928,7 @@ class Executor:
             label = getattr(node, "label", None)
             if label:
                 self.stats.labels[label] = self.pf.node_id(node)
-        result = self.eval(self.pf.root, env, self._call_memo)
-        if isinstance(result, TupleTable):
-            raise EngineError("plan root produced an intermediate table")
-        return result
+        return self.eval(self.pf.root, env, self._call_memo)
 
     def eval(self, node: PlanNode, env: dict, memo: dict):
         if isinstance(node, PLoop):
@@ -937,7 +941,7 @@ class Executor:
         else:
             result = self._eval(node, env, memo)
             self.stats.record(self.pf.node_id(node), len(result))
-        if self.options.debug_checks and isinstance(result, MatrixRelation):
+        if self.options.debug_checks:
             assert_canonical(result)
         memo[key] = result
         return result
@@ -1028,46 +1032,66 @@ class Executor:
         if isinstance(node, PMap):
             return self._eval_map(node, env, memo)
         if isinstance(node, PJoin):
-            return self._eval_join(node, env, memo)
+            a = self.eval(node.left, env, memo)
+            return self._join_matmul(node, a, self.eval(node.right, env, memo))
+        if isinstance(node, PDensify):
+            return self._eval_densify(node, env, memo)
         if isinstance(node, PAggregate):
             return self._eval_aggregate(node, env, memo)
         if isinstance(node, PLoopState):
             return self.loop_states(node.loop, env, memo)[node.name]
         raise EngineError(f"cannot evaluate node {type(node).__name__}")
 
-    def _eval_map(self, node: PMap, env: dict, memo: dict):
-        src = _as_table(self.eval(node.input, env, memo))
-        rows, cols, vals = src.rows, src.cols, list(src.vals)
+    def _eval_map(self, node: PMap, env: dict, memo: dict) -> MatrixRelation:
+        """`node.val` over the union of the inputs' keys.
+
+        The inputs fold from the left through `align_keys`, and each value
+        column is padded with its input's identity where that input holds no
+        tuple (`_pad`); a column whose input already is the union passes on
+        as is, sound as no operator writes into an input. This is the outer
+        join of the relational reading, in its order, so each column holds
+        the values a chain of two-way joins would give it. Then `val` runs
+        over the columns. The union of canonical inputs is sorted with
+        unique keys, and so is a filter of it or its `col_from_row` rewrite
+        (one input only), so the output needs no sort.
+        """
+        rels = [self.eval(p, env, memo) for p in node.inputs]
+        nr, nc = self.shape(node)
+        first, *rest = rels
+        rows, cols, vals = first.rows, first.cols, [first.vals]
+        for rel in rest:
+            rows, cols, lslot, rslot = align_keys(
+                rows, cols, rel.rows, rel.cols, nr * nc, max(nc, 1)
+            )
+            vals = [_pad(r.sr, v, lslot, len(rows)) for r, v in zip(rels, vals)]
+            vals.append(_pad(rel.sr, rel.vals, rslot, len(rows)))
         if node.filter == "row_ne_col":
             keep = rows != cols
-            rows, cols = rows[keep], cols[keep]
-            vals = [v[keep] for v in vals]
+            rows, cols, vals = rows[keep], cols[keep], [v[keep] for v in vals]
         if node.coord == "col_from_row":
             cols = rows
-        venv = {f"v{i}": v for i, v in enumerate(vals)}
-        tags = {f"v{i}": t for i, t in enumerate(src.tags)}
         if len(rows) == 0:
-            out_vals = np.empty(0, NUMPY_DTYPE[node.ty.sr])
+            out = np.empty(0, NUMPY_DTYPE[node.ty.sr])
         else:
-            out_vals, _ = veval_expr(node.val, venv, tags, self.flags)
-            out_vals = np.asarray(out_vals, dtype=NUMPY_DTYPE[node.ty.sr])
-        nr, nc = self.shape(node)
+            venv = {f"v{i}": v for i, v in enumerate(vals)}
+            tags = {f"v{i}": r.sr for i, r in enumerate(rels)}
+            out, _ = veval_expr(node.val, venv, tags, self.flags)
+            out = np.asarray(out, dtype=NUMPY_DTYPE[node.ty.sr])
         return canonicalize(
-            node.ty.sr, nr, nc, rows, cols, out_vals, dense=(node.mark == DENSE)
+            node.ty.sr, nr, nc, rows, cols, out, dense=(node.mark == DENSE), assume_sorted=True
         )
 
-    def _eval_join(self, node: PJoin, env: dict, memo: dict):
-        left = self.eval(node.left, env, memo)
-        right = self.eval(node.right, env, memo)
-        if node.pattern == "matmul":
-            return self._join_matmul(node, left, right)
-        if node.pattern == "pointwise":
-            return self._join_pointwise(node, left, right)
-        if node.pattern == "cross":
-            return self._join_cross(node, left, right)
-        if node.pattern == "pad":
-            return self._join_pad(node, left, right)
-        raise EngineError(f"unknown join pattern {node.pattern!r}")
+    def _eval_densify(self, node: PDensify, env: dict, memo: dict) -> MatrixRelation:
+        """The input's values on all nr * nc positions in (row, col) order,
+        the identity elsewhere: key k sits at position k, so each input key
+        is its own slot."""
+        data = self.eval(node.input, env, memo)
+        nr, nc = self.shape(node)
+        vals = np.full(nr * nc, ZERO_PAYLOAD[data.sr], NUMPY_DTYPE[data.sr])
+        vals[data.keys()] = data.vals
+        rows = np.repeat(np.arange(nr, dtype=np.int64), nc)
+        cols = np.tile(np.arange(nc, dtype=np.int64), nr)
+        return MatrixRelation(data.sr, nr, nc, rows, cols, vals, dense=True)
 
     def _join_matmul(self, node: PJoin, a: MatrixRelation, b: MatrixRelation) -> MatrixRelation:
         """The product: for each output key (i, c), the semiring sum of the
@@ -1130,57 +1154,6 @@ class Executor:
         nid = self.pf.node_id(node)
         counter[nid] = counter.get(nid, 0) + 1
 
-    def _join_pointwise(self, node: PJoin, left, right):
-        """Both sides' values on the union of their keys, each padded with
-        its identity (`align_keys`). A side that already is the union passes
-        its value arrays on, sound as no operator writes into an input."""
-        lt, rt = _as_table(left), _as_table(right)
-        nr, nc = self.shape(node)
-        stride = np.int64(max(nc, 1))
-        lkey = lt.rows * stride + lt.cols
-        rkey = rt.rows * stride + rt.cols
-        if self.options.debug_checks:
-            for side, key in (("left", lkey), ("right", rkey)):
-                if len(key) > 1 and not (key[1:] > key[:-1]).all():
-                    raise EngineError(
-                        f"pointwise join: {side} keys are not sorted and unique"
-                    )
-        rows, cols, lslot, rslot = align_keys(lt, rt, lkey, rkey, nr * nc, stride)
-
-        def pad(table: TupleTable, slot: Optional[np.ndarray]) -> list[np.ndarray]:
-            if slot is None:
-                return list(table.vals)
-            out = []
-            for col_vals, tag in zip(table.vals, table.tags):
-                padded = np.full(len(rows), ZERO_PAYLOAD[tag], NUMPY_DTYPE[tag])
-                padded[slot] = col_vals
-                out.append(padded)
-            return out
-
-        return TupleTable(
-            nr, nc, rows, cols, pad(lt, lslot) + pad(rt, rslot), list(lt.tags) + list(rt.tags)
-        )
-
-    def _join_cross(self, node: PJoin, left: MatrixRelation, right: MatrixRelation):
-        nr, nc = self.shape(node)
-        rows = np.repeat(left.rows, len(right.rows))
-        cols = np.tile(right.rows, len(left.rows))
-        return TupleTable(nr, nc, rows, cols, [], [])
-
-    def _join_pad(self, node: PJoin, grid, data: MatrixRelation):
-        """`data`'s values on the grid's keys, the identity elsewhere. The
-        grid is a domain scan or a cross of two, so it is full: key k sits at
-        position k, and a data key is its own slot."""
-        gt = _as_table(grid)
-        nr, nc = self.shape(node)
-        if len(gt) != nr * nc:
-            raise EngineError(f"pad join: the grid holds {len(gt)} of {nr * nc} keys")
-        vals = np.full(len(gt), ZERO_PAYLOAD[data.sr], NUMPY_DTYPE[data.sr])
-        vals[data.rows * np.int64(max(nc, 1)) + data.cols] = data.vals
-        return MatrixRelation(
-            data.sr, nr, nc, gt.rows, gt.cols, vals, dense=True
-        )
-
     def _eval_aggregate(self, node: PAggregate, env: dict, memo: dict):
         src = self.eval(node.input, env, memo)
         self._count(self.stats.aggregations_executed, node)
@@ -1203,10 +1176,7 @@ class Executor:
             shared[id(p)] = memo[id(p)]
         states: dict[str, LoopState] = {}
         for name, init in node.states:
-            rel = self.eval(init, env, memo)
-            if isinstance(rel, TupleTable):
-                raise EngineError("loop state init produced an intermediate table")
-            states[name] = rel
+            states[name] = self.eval(init, env, memo)
         names = [name for name, _ in node.states]
         check_fixpoint = node.fixpoint and not self.options.disable_fixpoint
         # a semi-naive state's bodies read the change set of its last merge;

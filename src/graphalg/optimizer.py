@@ -203,7 +203,7 @@ def _hoist_loop(loop: PLoop, names: Iterator[str]) -> PLoop:
     evaluates it once before the first iteration (only when the loop runs
     at all) and seeds each iteration's memo with its value. Soundness:
     plan nodes are pure, so an invariant subtree has the same value in
-    every iteration, whether that value is a relation or a tuple table.
+    every iteration.
     The one observable difference is that per-evaluation counters
     (`tuples_produced`, `aggregations_executed`, `division_by_zero`, and
     the iterations of a hoisted inner loop) count the subtree once per call.
@@ -356,37 +356,28 @@ def call_invariant_pass(pf: PlanFunction) -> PlanFunction:
 def _rewrite_state_inplace(loop: PLoop, i: int, wrappers: dict) -> PLoop | None:
     """Merge state i in place when its body is `v + d`.
 
-    That is the plan of `v += d` and `v = v + d`: a map computing `v0 + v1`
-    over a pointwise join of two single-column relations, exactly one of
-    which scans the state. The body becomes the delta d, which the engine
-    adds to the persistent state (the outer join pads a missing side with
-    the identity, which is what the merge does too). An aggregate, a matmul
-    join, a loop or a loop state already yields a relation with unique keys
-    and is merged as is; any other delta is folded by `Aggregate(rowcol,
-    add)` first, one such node per delta node in `wrappers` (keyed by its
-    id).
+    That is the plan of `v += d` and `v = v + d`: a two-input map computing
+    `v0 + v1`, exactly one of whose inputs scans the state. The body becomes
+    the delta d, which the engine adds to the persistent state (the map pads
+    a missing side with the identity, which is what the merge does too). An
+    aggregate, a matmul join, a loop or a loop state already yields a
+    relation with unique keys and is merged as is; any other delta is folded
+    by `Aggregate(rowcol, add)` first, one such node per delta node in
+    `wrappers` (keyed by its id).
     """
     name = loop.states[i][0]
     body = loop.bodies[i]
-    if not isinstance(body, PMap) or body.coord or body.filter:
-        return None
-    join = body.input
     if not (
-        isinstance(join, PJoin)
-        and join.pattern == "pointwise"
-        and len(join.val_tags) == 2
+        isinstance(body, PMap)
+        and len(body.inputs) == 2
         and body.val == SBin("+", SVar("v0"), SVar("v1"))
     ):
         return None
-    sides = (join.left, join.right)
-    scans = [isinstance(p, PScanArg) and p.name == name for p in sides]
+    scans = [isinstance(p, PScanArg) and p.name == name for p in body.inputs]
     if scans.count(True) != 1:
         return None
-    delta = sides[scans.index(False)]
-    merged_as_is = isinstance(delta, (PAggregate, PLoop, PLoopState)) or (
-        isinstance(delta, PJoin) and delta.pattern == "matmul"
-    )
-    if not merged_as_is:
+    delta = body.inputs[scans.index(False)]
+    if not isinstance(delta, (PAggregate, PJoin, PLoop, PLoopState)):
         delta = wrappers.setdefault(
             id(delta),
             PAggregate(ty=body.ty, input=delta, group_by="rowcol", combine="add"),
@@ -417,7 +408,7 @@ def _linear(node: PlanNode, name: str, invariant) -> bool:
     if isinstance(node, PAggregate):
         grouping = (node.group_by, node.combine, node.label)
         return grouping == ("rowcol", "add", None) and _linear(node.input, name, invariant)
-    if isinstance(node, PJoin) and node.pattern == "matmul":
+    if isinstance(node, PJoin):
         left, right = node.left, node.right
         return (invariant(right) and _linear(left, name, invariant)) or (
             invariant(left) and _linear(right, name, invariant)

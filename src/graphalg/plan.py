@@ -1,29 +1,24 @@
 """Relational-algebra plans over (row, col, value) relations.
 
-Core compiles to a DAG of plan nodes. Matrix multiplication becomes one
-matmul join that also multiplies and folds (a groupjoin), pointwise
-application becomes an n-way outer join with identity padding followed by
-a map, and a bounded loop becomes one Loop node carrying named state
-relations and one body subplan per state. Its output is the first state; a
-LoopState node reads any other one.
+Core compiles to a DAG of plan nodes, and every node evaluates to one
+canonical relation. Matrix multiplication becomes one matmul join that also
+multiplies and folds (a groupjoin): an inner join on left.col = right.row,
+grouped by (left.row, right.col), whose one value column is the semiring
+sum of the products of each group's pairs. Pointwise application
+f(x1, ..., xn) becomes one Map over n inputs: an n-way full outer join on
+(row, col), each absent side padded with its additive identity, then f. A
+densify is one unary Densify node, the left outer join of the full grid of
+its shape with its input. A bounded loop becomes one Loop node carrying
+named state relations and one body subplan per state. Its output is the
+first state; a LoopState node reads any other one.
 Equal subplans are one node: `share` merges them after translation.
-
-Join patterns fix the attribute plumbing:
-
-* ``matmul``:    inner join on left.col = right.row, grouped by
-                 (left.row, right.col): its one value column is the
-                 semiring sum of the products of each group's pairs
-* ``pointwise``: full outer join on (row, col), absent sides read as the
-                 additive identity
-* ``pad``:       left outer join keeping every left key (densify)
-* ``cross``:     cross product of two domain scans, building a full grid
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, is_dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 from . import ast as A
 from .core import (
@@ -52,7 +47,6 @@ from .semiring import (
     SSelect,
     SVar,
     ScalarExpr,
-    SemiringTag,
 )
 
 Dim = A.Dim
@@ -85,37 +79,42 @@ class PConstant(PlanNode):
     """A relation literal; currently always the empty relation."""
 
 
-# join pattern -> join kind
-JOIN_KINDS = {
-    "matmul": "inner",
-    "cross": "inner",
-    "pointwise": "outer-pad",
-    "pad": "left-outer-pad",
-}
-
-
 @dataclass(frozen=True, eq=False)
 class PJoin(PlanNode):
+    """The product of `left` and `right`, a groupjoin: inner join on
+    left.col = right.row, each pair's values multiplied, and the products
+    folded per (left.row, right.col) with semiring addition."""
+
     left: PlanNode = None
     right: PlanNode = None
-    pattern: str = "pointwise"  # a key of JOIN_KINDS
-    # value columns flowing out of the join, leftmost first
-    val_tags: tuple = ()
-
-    @property
-    def kind(self) -> str:
-        return JOIN_KINDS[self.pattern]
+    # the one join pattern, a class constant rather than a field
+    pattern: ClassVar[str] = "matmul"
 
 
 @dataclass(frozen=True, eq=False)
 class PMap(PlanNode):
-    input: PlanNode = None
-    # scalar expression over the input's value columns v0..vk-1
+    """f(v0, ..., vn-1) over n inputs; several inputs have the map's shape.
+
+    Relationally, an n-way full outer join of the inputs on (row, col),
+    each absent side read as its additive identity, followed by a map that
+    applies `val` to each joined tuple. Input i's value is `v<i>`. One
+    input takes no join: `coord` and `filter` apply only there.
+    """
+
+    inputs: tuple = ()
     val: ScalarExpr = None
     # optional coordinate rewrite / filter
     coord: Optional[str] = None  # None | "col_from_row"
     filter: Optional[str] = None  # None | "row_ne_col"
     label: Optional[str] = None
+
+
+@dataclass(frozen=True, eq=False)
+class PDensify(PlanNode):
+    """The input's values on every position of its shape, the identity
+    where it holds none."""
+
+    input: PlanNode = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,16 +175,12 @@ class PlanFunction:
         return self.node_ids[id(node)]
 
 
-def val_tags(node: PlanNode) -> tuple[SemiringTag, ...]:
-    if isinstance(node, PJoin):
-        return node.val_tags
-    return (node.ty.sr,)
-
-
 def children(node: PlanNode) -> tuple[PlanNode, ...]:
     if isinstance(node, PJoin):
         return (node.left, node.right)
-    if isinstance(node, (PMap, PAggregate, PTranspose)):
+    if isinstance(node, PMap):
+        return node.inputs
+    if isinstance(node, (PDensify, PAggregate, PTranspose)):
         return (node.input,)
     if isinstance(node, PLoopState):
         return (node.loop,)
@@ -204,7 +199,7 @@ def children(node: PlanNode) -> tuple[PlanNode, ...]:
 
 
 def _rename_params(fn: PointwiseFn) -> ScalarExpr:
-    """Rewrite a pointwise body to refer to join columns v0..vn-1."""
+    """Rewrite a pointwise body to refer to the map's inputs v0..vn-1."""
     mapping = {name: f"v{i}" for i, (name, _) in enumerate(fn.params)}
 
     def walk(e: ScalarExpr) -> ScalarExpr:
@@ -245,52 +240,24 @@ class _Compiler:
             # diagonal of an n-vector never covers n x n positions
             inner = self.plan(e.arg)
             return PMap(
-                ty=e.ty, mark=SPARSE, input=inner, val=SVar("v0"), coord="col_from_row"
+                ty=e.ty, mark=SPARSE, inputs=(inner,), val=SVar("v0"), coord="col_from_row"
             )
         if isinstance(e, COneVector):
             domain = PScanDomain(ty=e.ty, mark=DENSE, dim=e.dim)
             return PMap(
-                ty=e.ty, mark=DENSE, input=domain, val=SLit(e.ty.sr, ONE_PAYLOAD[e.ty.sr])
+                ty=e.ty, mark=DENSE, inputs=(domain,), val=SLit(e.ty.sr, ONE_PAYLOAD[e.ty.sr])
             )
         if isinstance(e, CPickAny):
             inner = self.plan(e.arg)
             return PAggregate(ty=e.ty, input=inner, group_by="row", combine="argmin_col")
         if isinstance(e, CMatMul):
-            return PJoin(
-                ty=e.ty,
-                left=self.plan(e.lhs),
-                right=self.plan(e.rhs),
-                pattern="matmul",
-                val_tags=(e.ty.sr,),
-            )
+            return PJoin(ty=e.ty, left=self.plan(e.lhs), right=self.plan(e.rhs))
         if isinstance(e, CApply):
-            plans = [self.plan(a) for a in e.args]
-            if len(plans) == 1:
-                src = plans[0]
-            else:
-                src = plans[0]
-                for nxt in plans[1:]:
-                    src = PJoin(
-                        ty=MatrixType(e.ty.rows, e.ty.cols, e.ty.sr),
-                        mark=DENSE if all(p.mark == DENSE for p in (src, nxt)) else SPARSE,
-                        left=src,
-                        right=nxt,
-                        pattern="pointwise",
-                        val_tags=val_tags(src) + val_tags(nxt),
-                    )
-            mark = src.mark
-            return PMap(ty=e.ty, mark=mark, input=src, val=_rename_params(e.fn))
+            inputs = tuple(self.plan(a) for a in e.args)
+            mark = DENSE if all(p.mark == DENSE for p in inputs) else SPARSE
+            return PMap(ty=e.ty, mark=mark, inputs=inputs, val=_rename_params(e.fn))
         if isinstance(e, CDensify):
-            inner = self.plan(e.arg)
-            grid = self._domain_grid(e.ty)
-            return PJoin(
-                ty=e.ty,
-                mark=DENSE,
-                left=grid,
-                right=inner,
-                pattern="pad",
-                val_tags=val_tags(inner),
-            )
+            return PDensify(ty=e.ty, mark=DENSE, input=self.plan(e.arg))
         if isinstance(e, CForLoop):
             states = tuple((name, self.plan(init)) for name, init in e.states)
             bodies = tuple(self.plan(update) for _, update in e.body)
@@ -305,24 +272,6 @@ class _Compiler:
         if isinstance(e, CLoopState):
             return PLoopState(ty=e.ty, loop=self.plan(e.loop), name=e.name)
         raise CompileError(f"cannot compile Core node {type(e).__name__}")
-
-    def _domain_grid(self, ty: MatrixType) -> PlanNode:
-        rows = PScanDomain(
-            ty=MatrixType(ty.rows, A.DimLit(1), SemiringTag.BOOL), mark=DENSE, dim=ty.rows
-        )
-        if ty.cols == A.DimLit(1):
-            return rows
-        cols = PScanDomain(
-            ty=MatrixType(ty.cols, A.DimLit(1), SemiringTag.BOOL), mark=DENSE, dim=ty.cols
-        )
-        return PJoin(
-            ty=MatrixType(ty.rows, ty.cols, SemiringTag.BOOL),
-            mark=DENSE,
-            left=rows,
-            right=cols,
-            pattern="cross",
-            val_tags=(),
-        )
 
 
 def compile_function(fn: CoreFunction) -> PlanFunction:
@@ -382,9 +331,7 @@ def _describe(node: PlanNode, pf: PlanFunction) -> str:
     if isinstance(node, PConstant):
         return f"#{nid} Constant[0 tuples, {shape}, {node.mark}]"
     if isinstance(node, PJoin):
-        # a matmul join's value is a relation, the others' a table of columns
-        sr = f":{node.ty.sr}" if node.pattern == "matmul" else ""
-        return f"#{nid} Join({node.pattern}, {node.kind})[{shape}{sr}, {node.mark}]"
+        return f"#{nid} Join({node.pattern}, inner)[{shape}:{node.ty.sr}, {node.mark}]"
     if isinstance(node, PMap):
         extras = []
         if node.coord:
@@ -401,6 +348,8 @@ def _describe(node: PlanNode, pf: PlanFunction) -> str:
             f"#{nid} Aggregate({node.group_by}, {node.combine}){label}"
             f"[{shape}:{node.ty.sr}, {node.mark}]"
         )
+    if isinstance(node, PDensify):
+        return f"#{nid} Densify[{shape}:{node.ty.sr}, {node.mark}]"
     if isinstance(node, PTranspose):
         return f"#{nid} Transpose[{shape}, {node.mark}]"
     if isinstance(node, PLoopState):
@@ -474,7 +423,9 @@ def _with_children(n: PlanNode, new: tuple) -> PlanNode:
         return n
     if isinstance(n, PJoin):
         return replace(n, left=new[0], right=new[1])
-    if isinstance(n, (PMap, PAggregate, PTranspose)):
+    if isinstance(n, PMap):
+        return replace(n, inputs=new)
+    if isinstance(n, (PDensify, PAggregate, PTranspose)):
         return replace(n, input=new[0])
     if isinstance(n, PLoopState):
         return replace(n, loop=new[0])

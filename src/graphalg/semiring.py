@@ -238,8 +238,9 @@ def vadd(sr: SemiringTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _check_int_add_overflow(a, b, r, "add")
         return r
     if sr is SemiringTag.REAL:
-        # inf + -inf is the IEEE NaN, without numpy's warning
-        with np.errstate(invalid="ignore"):
+        # a finite sum past the float range is the IEEE ±inf and inf + -inf
+        # the IEEE NaN, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
             return a + b
     return np.fmin(a, b)
 
@@ -262,9 +263,9 @@ def vmul(sr: SemiringTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # NaN (0 * inf, inf + -inf): sparse execution never multiplies an
     # implicit zero, so explicit zeros must behave the same way.
     if sr is SemiringTag.REAL:
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.where((a == np.inf) | (b == np.inf), np.inf, a + b)
 
 
@@ -295,7 +296,7 @@ def vadd_reduceat(sr: SemiringTag, vals: np.ndarray, starts: np.ndarray) -> np.n
                     raise ArithmeticOverflowError("add", "segment-sum", exact)
         return r
     if sr is SemiringTag.REAL:
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return np.add.reduceat(vals, starts)
     return np.fmin.reduceat(vals, starts)
 
@@ -342,14 +343,15 @@ def _veval_bin(op, sr, a, b, flags: DivisionFlags | None):
                 raise ArithmeticOverflowError("sub", int(a[i]), int(b[i]))
             return r
         if sr is SemiringTag.REAL:
-            return a - b
+            with np.errstate(over="ignore", invalid="ignore"):
+                return a - b
         raise EngineError(f"subtraction is not defined on {sr}")
     if op == "/":
         if sr is SemiringTag.REAL:
             zeros = int(np.count_nonzero(b == 0.0))
             if zeros and flags is not None:
                 flags.division_by_zero += zeros
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return a / b
         raise EngineError(f"division is not defined on {sr}")
     if op == "=":

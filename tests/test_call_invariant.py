@@ -11,7 +11,6 @@ from graphalg.cli import attach_preprocess
 from graphalg.engine import (
     CallBinding,
     ExecOptions,
-    Executor,
     MatrixRelation,
     execute,
     rel_equal,
@@ -312,7 +311,8 @@ def test_warm_wcc_call_evaluates_no_transpose_or_pointwise_join(monkeypatch):
     pf = _plan("wcc")
     binding = lambda: CallBinding(args={"G": graph.adjacency, "labels": identity_labels(n)})
     transposes = _spy(monkeypatch, engine, "transpose")
-    pointwise = _spy(monkeypatch, Executor, "_join_pointwise")
+    # the outer join of a map of several inputs aligns their keys
+    pointwise = _spy(monkeypatch, engine, "align_keys")
     execute(pf, binding())
     assert transposes and pointwise
     transposes.clear()

@@ -282,6 +282,36 @@ class TestRun:
             f"cannot write standard output: {os.strerror(errno.ENOSPC)}"
         ]
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", [
+        "run-stats", "run-result", "run-dump-plan", "run-dump-core", "check-dump-core",
+        "oracle",
+    ])
+    def test_full_standard_output_is_one_line(self, program_file, graph_files, tmp_path, command):
+        """Every command that writes to a standard output on a full device
+        prints one line and exits 3; the interpreter's exit-time flush adds
+        nothing."""
+        v, e = graph_files
+        graph = ["--vertices", v, "--edges", e, "--source", "10"]
+        args = {
+            "run-stats": ["run", program_file, *graph, "--stats", "--output", tmp_path / "o"],
+            "run-result": ["run", program_file, *graph],
+            "run-dump-plan": ["run", program_file, "--dump-plan"],
+            "run-dump-core": ["run", program_file, "--dump-core"],
+            "check-dump-core": ["check", program_file, "--dump-core"],
+            "oracle": ["oracle", "reach", "--count", "1"],
+        }[command]
+        env = dict(os.environ, PYTHONPATH=str(Path(graphalg.__file__).parents[1]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphalg.cli", *map(str, args)],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"cannot write standard output: {os.strerror(errno.ENOSPC)}"
+        ]
+
     @pytest.mark.parametrize("name, phase", [
         ("compile_source", "compiling"),
         ("load_graph", "loading the graph"),

@@ -285,17 +285,30 @@ class TestDiagPrograms:
     @pytest.mark.parametrize("seed", DIAG_SEEDS)
     def test_engine_matches_reference(self, seed):
         """Every level's engine result equals the surface reference's."""
-        gp = gen_program(seed)
-        ref_args, eng_args = gen_inputs(gp, seed)
-        expected = eval_surface(check_program(gp.program), "main", dict(ref_args), gp.dims)
-        text = pretty_print(gp.program)
-        for level in (0, 1, 2):
-            out, _ = execute(
-                compile_source(text, opt_level=level).plan_for("main"),
-                CallBinding(args=dict(eng_args), dims=dict(gp.dims)),
-                ExecOptions(debug_checks=True),
-            )
-            equal, msg = canonical_equal(
-                expected.sr, expected.canonical(), rel_canonical(out), tol=1e-9
-            )
-            assert equal, f"seed {seed}@O{level}: {msg}"
+        _check_against_reference(seed)
+
+
+def _check_against_reference(seed: int):
+    """At every level, the engine's result on `gen_program(seed)` equals the
+    surface reference's."""
+    gp = gen_program(seed)
+    ref_args, eng_args = gen_inputs(gp, seed)
+    expected = eval_surface(check_program(gp.program), "main", dict(ref_args), gp.dims)
+    text = pretty_print(gp.program)
+    for level in (0, 1, 2):
+        out, _ = execute(
+            compile_source(text, opt_level=level).plan_for("main"),
+            CallBinding(args=dict(eng_args), dims=dict(gp.dims)),
+            ExecOptions(debug_checks=True),
+        )
+        equal, msg = canonical_equal(
+            expected.sr, expected.canonical(), rel_canonical(out), tol=1e-9
+        )
+        assert equal, f"seed {seed}@O{level}: {msg}"
+
+
+# a generated program whose REAL products overflow to inf at opt 0; numpy's
+# overflow warning would be an error under pytest's filterwarnings
+@pytest.mark.parametrize("seed", [1375])
+def test_overflow_to_inf_matches_reference(seed):
+    _check_against_reference(seed)

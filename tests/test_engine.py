@@ -3,7 +3,6 @@
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from graphalg.engine import (
     ExecOptions,
     Executor,
     MatrixRelation,
-    TupleTable,
     align_keys,
     assert_canonical,
     execute,
@@ -45,6 +43,7 @@ from graphalg.errors import (
     DenseLimitError,
     EngineError,
 )
+from graphalg import ast as A
 from graphalg import engine
 from graphalg.harness import (
     er_graph,
@@ -54,15 +53,19 @@ from graphalg.harness import (
     structured_graphs,
 )
 from graphalg.plan import (
+    DENSE,
     PAggregate,
+    PDensify,
     PJoin,
     PLoop,
     PLoopState,
+    PMap,
+    PScanArg,
     PlanFunction,
     children,
     finalize,
 )
-from graphalg.semiring import NUMPY_DTYPE, SemiringTag, ZERO_PAYLOAD, vmul
+from graphalg.semiring import NUMPY_DTYPE, SVar, SemiringTag, ZERO_PAYLOAD, vmul
 
 B, I, R, T = SemiringTag.BOOL, SemiringTag.INT, SemiringTag.REAL, SemiringTag.TROP
 
@@ -139,6 +142,22 @@ func f(a: Matrix<s, s, real>, b: Matrix<s, s, real>) -> Matrix<s, s, real> {
             )
         assert "node #" in str(exc.value)
 
+    def test_dense_limit_names_the_densify_node(self):
+        text = """
+func f(a: Matrix<s, s, real>) -> Matrix<s, s, real> {
+    return a (.==) a;
+}
+"""
+        pf = compile_source(text).plan_for("f")
+        (node,) = [n for n in pf.nodes if isinstance(n, PDensify)]
+        a = MatrixRelation.empty(R, 2000, 2000)
+        with pytest.raises(DenseLimitError) as exc:
+            execute(pf, CallBinding(args={"a": a}), ExecOptions(dense_limit=1_000_000))
+        assert str(exc.value) == (
+            f"dense-limit error: node #{pf.node_id(node)}: densifying 2000x2000 = 4000000 positions "
+            "exceeds the limit 1000000"
+        )
+
     def test_loop_index_is_scalar(self):
         text = """
 func f(x: int) -> int {
@@ -152,36 +171,6 @@ func f(x: int) -> int {
         out, _ = run_source(text, "f", CallBinding(args={"x": x}))
         assert out.to_dict() == {(0, 0): 16}  # 10 + 0 + 1 + 2 + 3
 
-    def test_hoisted_intermediate_table_shared(self):
-        text = """
-func f(v: Vector<s, int>, G: Matrix<s, s, int>, H: Matrix<s, s, int>) -> Vector<s, int> {
-    for i in 0..3 {
-        v += (G (.+) H) * v;
-    }
-    return v;
-}
-"""
-        pf = compile_source(text, opt_level=1).plan_for("f")
-        # the hoisted node is the map of G (.+) H
-        ((name, summed),) = pf.root.hoisted
-        # hoist the pointwise join under it instead: its value is a tuple
-        # table, which every iteration's map then reads from the memo
-        join = summed.input
-        assert isinstance(join, PJoin) and join.pattern == "pointwise"
-        shared = PlanFunction(
-            pf.name, pf.params, replace(pf.root, hoisted=((name, join),)), pf.free_dim_symbols
-        )
-        finalize(shared)
-        v = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1), (2, 0, -1)])
-        g = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, 1), (1, 2, 2), (1, 0, 3), (2, 0, -1)])
-        h = MatrixRelation.from_tuples(I, 3, 3, [(0, 1, -1), (2, 2, 4)])
-        binding = lambda: CallBinding(args={"v": v, "G": g, "H": h})
-        out, stats = execute(shared, binding(), ExecOptions(debug_checks=True))
-        expected, _ = execute(compile_source(text, opt_level=0).plan_for("f"), binding())
-        assert rel_equal(out, expected)
-        # the union of the keys, once; the map drops (0, 1), whose sum is 0
-        assert stats.tuples_produced[shared.node_id(join)] == 5
-        assert stats.tuples_produced[shared.node_id(summed)] == 3 * 4
 
     def test_division_by_zero_flagged_not_fatal(self):
         text = """
@@ -936,12 +925,15 @@ func f(a: Vector<s, int>, b: Vector<s, int>) -> Vector<s, int> {
 """
         ok = MatrixRelation.from_tuples(I, 3, 1, [(0, 0, 1)])
         pf = compile_source(text).plan_for("f")
+        assert isinstance(pf.root, PMap) and len(pf.root.inputs) == 2
         ex = Executor(pf, CallBinding(args={"a": ok, "b": ok}), ExecOptions(debug_checks=True))
         unsorted = MatrixRelation(
             I, 3, 1, np.array([2, 0]), np.array([0, 0]), np.array([1, 1])
         )
-        with pytest.raises(EngineError, match="left keys"):
-            ex._join_pointwise(pf.root.input, unsorted, ok)
+        # every input of the map is checked as it is evaluated, so an
+        # unsorted one never reaches the union of the keys
+        with pytest.raises(EngineError, match="not sorted with unique keys"):
+            ex._eval_map(pf.root, {"a": unsorted, "b": ok}, {})
 
 
 # payloads whose sums depend on the order they are added in
@@ -1315,59 +1307,53 @@ class TestDeterminism:
 # scatter, and gives what the general paths give, bitwise
 # ---------------------------------------------------------------------------
 
-# value columns of a pointwise join: both REAL zeros and NaN, so that a value
-# put in a wrong slot or rewritten shows in its bits
+# values of a map's inputs: both REAL zeros and NaN, so that a value put in
+# a wrong slot or rewritten shows in its bits
 POINTWISE_VALUES = {
     B: st.booleans(),
     I: st.integers(-3, 3),
     R: st.sampled_from([0.0, -0.0, math.nan, 1.5, -1e16]),
     T: st.sampled_from([0.0, math.inf, math.nan, 2.5]),
 }
-KEY_RUNS = (
-    "identical", "full-left", "full-right", "empty-left", "empty-right",
-    "disjoint", "interleaved", "subset",
-)
+# "identical" runs are one run, shared by every input of that kind;
+# "all-but-first" misses key 0, so it is neither full nor empty
+KEY_RUNS = ("full", "empty", "identical", "interleaved", "disjoint", "all-but-first")
 
 
 @st.composite
 def pointwise_operands(draw):
-    """Two sorted unique key runs of a named kind over a 1x1 or rectangular
-    grid, as tables of one or two value columns each. "subset" is a right
-    run inside a left run that misses at least one key, so neither is full."""
+    """Three sorted unique key runs of named kinds over a 1x1 or rectangular
+    grid, as relations of a drawn semiring each."""
     nr, nc = draw(st.sampled_from([(1, 1), (1, 4), (5, 1), (3, 4), (4, 3)]))
     every = list(range(nr * nc))
     keys = st.lists(st.sampled_from(every), unique=True)
-    some, other = draw(keys), draw(keys)
-    kind = draw(st.sampled_from(KEY_RUNS))
-    left, right = {
-        "identical": (some, some),
-        "full-left": (every, some),
-        "full-right": (some, every),
-        "empty-left": ([], some),
-        "empty-right": (some, []),
-        "disjoint": (some, [k for k in other if k not in some]),
-        "interleaved": (some, other),
-        "subset": (every[1:], [k for k in some if k]),
-    }[kind]
+    some = draw(keys)
+    kinds = draw(st.tuples(*[st.sampled_from(KEY_RUNS)] * 3))
 
-    def table(run):
+    def relation(kind):
+        run = {
+            "full": lambda: every,
+            "empty": lambda: [],
+            "identical": lambda: some,
+            "interleaved": lambda: draw(keys),
+            "disjoint": lambda: [k for k in draw(keys) if k not in some],
+            "all-but-first": lambda: every[1:],
+        }[kind]()
         key = np.array(sorted(run), np.int64)
-        tags = draw(st.lists(st.sampled_from([B, I, R, T]), min_size=1, max_size=2))
-        vals = [
-            np.array([draw(POINTWISE_VALUES[t]) for _ in key], NUMPY_DTYPE[t]) for t in tags
-        ]
-        return TupleTable(nr, nc, key // nc, key % nc, vals, tags)
+        sr = draw(st.sampled_from([B, I, R, T]))
+        vals = np.array([draw(POINTWISE_VALUES[sr]) for _ in key], NUMPY_DTYPE[sr])
+        return MatrixRelation(sr, nr, nc, key // nc, key % nc, vals)
 
-    return kind, table(left), table(right)
+    return kinds, [relation(kind) for kind in kinds]
 
 
-def _pointwise_reference(lt: TupleTable, rt: TupleTable):
-    """The pointwise join as a stable argsort of both key runs, for every
-    input: the union as (rows, cols), each side's slots, and the padded
-    value columns."""
-    stride = np.int64(lt.ncols)
-    lkey, rkey = lt.rows * stride + lt.cols, rt.rows * stride + rt.cols
-    keys = np.concatenate([lkey, rkey])
+def _pointwise_reference(rels: list):
+    """The outer join of the relations as a stable argsort of all key runs:
+    the union as (rows, cols), each relation's slots in it, and each value
+    column padded with its relation's identity."""
+    stride = np.int64(rels[0].ncols)
+    runs = [r.rows * stride + r.cols for r in rels]
+    keys = np.concatenate(runs)
     order = np.argsort(keys, kind="stable")
     skeys = keys[order]
     first = np.ones(len(skeys), np.bool_)
@@ -1375,14 +1361,28 @@ def _pointwise_reference(lt: TupleTable, rt: TupleTable):
     union = skeys[first]
     slot = np.empty(len(keys), np.int64)
     slot[order] = np.cumsum(first) - 1
-    lslot, rslot = slot[: len(lkey)], slot[len(lkey):]
+    slots = np.split(slot, np.cumsum([len(k) for k in runs])[:-1])
     padded = []
-    for table, pos in ((lt, lslot), (rt, rslot)):
-        for col, tag in zip(table.vals, table.tags):
-            out = np.full(len(union), ZERO_PAYLOAD[tag], NUMPY_DTYPE[tag])
-            out[pos] = col
-            padded.append(out)
-    return union // stride, union % stride, lslot, rslot, padded
+    for rel, pos in zip(rels, slots):
+        out = np.full(len(union), ZERO_PAYLOAD[rel.sr], NUMPY_DTYPE[rel.sr])
+        out[pos] = rel.vals
+        padded.append(out)
+    return union // stride, union % stride, slots, padded
+
+
+def _map_column(rels: list, i: int) -> MatrixRelation:
+    """A map over scans of `rels` that returns input i's padded column: it
+    is marked DENSE, so it keeps the identities the padding put in."""
+    nr, nc = rels[0].shape
+    scans = tuple(
+        PScanArg(ty=A.MatrixType(A.DimLit(nr), A.DimLit(nc), r.sr), name=f"x{j}")
+        for j, r in enumerate(rels)
+    )
+    ty = A.MatrixType(A.DimLit(nr), A.DimLit(nc), rels[i].sr)
+    root = PMap(ty=ty, mark=DENSE, inputs=scans, val=SVar(f"v{i}"))
+    pf = finalize(PlanFunction("f", [(s.name, s.ty) for s in scans], root))
+    args = {s.name: r for s, r in zip(scans, rels)}
+    return execute(pf, CallBinding(args=args))[0]
 
 
 def _executor(text: str, args: dict, debug_checks: bool = True) -> Executor:
@@ -1394,9 +1394,9 @@ def _join_node(ex: Executor, pattern: str) -> PJoin:
     return next(n for n in ex.pf.nodes if isinstance(n, PJoin) and n.pattern == pattern)
 
 
-POINTWISE_TEXT = """
-func f(a: Matrix<s, t, int>, b: Matrix<s, t, int>) -> Matrix<s, t, int> {
-    return a (.+) b;
+DENSIFY_TEXT = """
+func f(a: Matrix<s, t, real>) -> Matrix<s, t, real> {
+    return a (.==) a;
 }
 """
 
@@ -1449,34 +1449,32 @@ class TestKeyAlignedJoins:
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(case=pointwise_operands())
     def test_pointwise_union_equals_the_argsort_merge(self, case):
-        """The union, both sides' slots and the padded values equal the
-        stable argsort's, bitwise; aligned runs take a side as the union."""
-        kind, lt, rt = case
-        nr, nc = lt.nrows, lt.ncols
-        rows, cols, lslot, rslot, padded = _pointwise_reference(lt, rt)
-        stride = np.int64(nc)
-        got = align_keys(
-            lt, rt, lt.rows * stride + lt.cols, rt.rows * stride + rt.cols, nr * nc, stride
-        )
+        """The union, the slots and the padded values of a map over three
+        inputs equal the stable argsort's, bitwise, over all four
+        semirings; a full or empty side, or two identical runs, take a side
+        as the union and build no slots for it."""
+        kinds, rels = case
+        nr, nc = rels[0].shape
+        rows, cols, slots, padded = _pointwise_reference(rels)
+        for i, want in enumerate(padded):
+            got = _map_column(rels, i)
+            assert _same_array(got.rows, rows) and _same_array(got.cols, cols)
+            assert _same_array(got.vals, want)
+
+        left, right = rels[:2]
+        rows, cols, slots, _ = _pointwise_reference([left, right])
+        size = nr * nc
+        got = align_keys(left.rows, left.cols, right.rows, right.cols, size, nc)
         assert _same_array(got[0], rows) and _same_array(got[1], cols)
         whole = np.arange(len(rows))
-        for slot, want in zip(got[2:], (lslot, rslot)):
+        for slot, want in zip(got[2:], slots):
             assert np.array_equal(whole if slot is None else slot, want)
-        if kind == "identical":
+        if len(left) == size or len(right) == 0:
+            assert got[0] is left.rows and got[2] is None
+        elif len(right) == size or len(left) == 0:
+            assert got[0] is right.rows and got[3] is None
+        elif kinds[:2] == ("identical", "identical"):
             assert got[2] is None and got[3] is None
-        if kind in ("full-left", "empty-right"):
-            assert got[2] is None
-        if kind in ("full-right", "empty-left"):
-            assert got[3] is None
-
-        empty = MatrixRelation.empty(I, nr, nc)
-        ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty})
-        table = ex._join_pointwise(_join_node(ex, "pointwise"), lt, rt)
-        assert _same_array(table.rows, rows) and _same_array(table.cols, cols)
-        assert table.tags == lt.tags + rt.tags
-        assert len(table.vals) == len(padded)
-        for got_vals, want in zip(table.vals, padded):
-            assert _same_array(got_vals, want)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(operands=matmul_operands(ncols=1), data=st.data())
@@ -1508,43 +1506,26 @@ class TestKeyAlignedJoins:
     @pytest.mark.parametrize("shape", [(1, 1), (6, 1), (3, 4)])
     @pytest.mark.parametrize("full", [True, False])
     def test_pad_equals_the_search(self, shape, full):
-        """A pad onto a full grid uses the data keys as slots, which is what
-        a search of the grid's keys gives; a grid that is not full raises."""
+        """A densify uses its input's keys as slots on the full grid, which
+        is what a search of the grid's keys gives, whether the input holds
+        every key or some."""
         nr, nc = shape
         rng = np.random.default_rng(nr * nc)
-        gkey = np.arange(nr * nc) if full else np.arange(1, nr * nc)
-        grid = MatrixRelation(B, nr, nc, gkey // nc, gkey % nc, np.ones(len(gkey), np.bool_))
-        dkey = np.sort(rng.choice(gkey, size=len(gkey) // 2, replace=False))
+        gkey = np.arange(nr * nc)
+        dkey = np.sort(rng.choice(gkey, size=len(gkey) if full else len(gkey) // 2, replace=False))
         data = MatrixRelation(R, nr, nc, dkey // nc, dkey % nc, rng.standard_normal(len(dkey)))
-        empty = MatrixRelation.empty(I, nr, nc)
-        ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty})
-        node = replace(_join_node(ex, "pointwise"), pattern="pad")
-        if not full:
-            with pytest.raises(EngineError, match="grid holds"):
-                ex._join_pad(node, grid, data)
-            return
-        out = ex._join_pad(node, grid, data)
+        ex = _executor(DENSIFY_TEXT, {"a": data})
+        (node,) = [n for n in ex.pf.nodes if isinstance(n, PDensify)]
+        out = ex._eval_densify(node, {"a": data}, {})
         vals = np.zeros(len(gkey))
         vals[np.searchsorted(gkey, dkey)] = data.vals
-        assert out.dense and out.rows is grid.rows and out.cols is grid.cols
+        assert out.dense and out.shape == (nr, nc)
+        assert _same_array(out.rows, gkey // nc) and _same_array(out.cols, gkey % nc)
         assert _same_array(out.vals, vals)
 
-    @pytest.mark.parametrize("debug_checks", [True, False])
-    def test_pad_rejects_a_grid_that_is_not_full(self, debug_checks):
-        """A compiled pad's grid is a domain scan or a cross of two, so it
-        holds every key; any other grid is an error, checked or not."""
-        gkey = np.array([0, 2, 3, 5])
-        grid = MatrixRelation(B, 3, 2, gkey // 2, gkey % 2, np.ones(len(gkey), np.bool_))
-        data = MatrixRelation(R, 3, 2, np.array([0, 1]), np.array([1, 1]), np.array([1.0, 2.0]))
-        empty = MatrixRelation.empty(I, 3, 2)
-        ex = _executor(POINTWISE_TEXT, {"a": empty, "b": empty}, debug_checks)
-        node = replace(_join_node(ex, "pointwise"), pattern="pad")
-        with pytest.raises(EngineError, match="the grid holds 4 of 6 keys"):
-            ex._join_pad(node, grid, data)
-
     def test_pagerank_merges_no_runs_on_the_grid(self, monkeypatch):
-        """pr's pointwise joins over the vertex domain all line up, so none
-        merges two key runs; wcc's `A (.+) A.T` does on a directed path. (The
+        """pr's maps over the vertex domain all line up, so none merges two
+        key runs; wcc's `A (.+) A.T` does on a directed path. (The
         grid has an edge each way, so there A and A.T have identical keys.)"""
         graphs = structured_graphs()
         n, edges, _ = graphs["grid_12x12"]

@@ -15,9 +15,9 @@ from graphalg.engine import CallBinding, ExecOptions, MatrixRelation, execute, r
 from graphalg.errors import ArithmeticOverflowError
 from graphalg.parser import parse
 from graphalg.plan import (
-    JOIN_KINDS,
     PAggregate,
     PConstant,
+    PDensify,
     PJoin,
     PLoop,
     PMap,
@@ -45,6 +45,8 @@ def plans_for(text, densify_all=False):
 
 class TestTranslation:
     def test_pointwise_mul_is_join_then_map(self):
+        """A pointwise application is one map over its operands, which is
+        the outer join of the operands and the map in one node."""
         text = """
 func f(a: Matrix<s, s, real>, b: Matrix<s, s, real>) -> Matrix<s, s, real> {
     return a (.*) b;
@@ -52,11 +54,36 @@ func f(a: Matrix<s, s, real>, b: Matrix<s, s, real>) -> Matrix<s, s, real> {
 """
         pf = plans_for(text)["f"]
         assert isinstance(pf.root, PMap)
-        join = pf.root.input
-        assert isinstance(join, PJoin)
-        assert join.pattern == "pointwise"
-        assert isinstance(join.left, PScanArg) and join.left.name == "a"
-        assert isinstance(join.right, PScanArg) and join.right.name == "b"
+        assert pf.root.val == SBin("*", SVar("v0"), SVar("v1"))
+        a, b = pf.root.inputs
+        assert isinstance(a, PScanArg) and a.name == "a"
+        assert isinstance(b, PScanArg) and b.name == "b"
+        assert len(pf.nodes) == 3
+
+    def test_masked_assign_is_one_map_of_three_inputs(self):
+        text = """
+func f(m: Vector<s, bool>, x: Vector<s, real>, y: Vector<s, real>) -> Vector<s, real> {
+    y<m> = x;
+    return y;
+}
+"""
+        pf = plans_for(text)["f"]
+        assert isinstance(pf.root, PMap)
+        assert [p.name for p in pf.root.inputs] == ["m", "x", "y"]
+        assert len(pf.nodes) == 4
+
+    def test_densify_is_one_unary_node(self):
+        text = """
+func f(a: Matrix<s, t, real>) -> Matrix<s, t, real> {
+    return a (.==) a;
+}
+"""
+        pf = plans_for(text)["f"]
+        densify, other = pf.root.inputs
+        assert densify is other  # both operands are densified, and shared
+        assert isinstance(densify, PDensify) and densify.mark == "DENSE"
+        assert isinstance(densify.input, PScanArg) and densify.input.name == "a"
+        assert pretty_plan(pf).splitlines()[1].strip() == "#1 Densify[sxt:real, DENSE]"
 
     def test_matmul_is_one_join(self):
         """A product is one matmul join, which multiplies and folds: no map
@@ -70,7 +97,6 @@ func f(a: Matrix<s, s, real>, b: Matrix<s, s, real>) -> Matrix<s, s, real> {
         assert isinstance(pf.root, PJoin) and pf.root.pattern == "matmul"
         assert isinstance(pf.root.left, PScanArg) and pf.root.left.name == "a"
         assert isinstance(pf.root.right, PScanArg) and pf.root.right.name == "b"
-        assert pf.root.val_tags == (R,)
         assert len(pf.nodes) == 3
 
     def test_one_vector_materializes_ones(self):
@@ -120,10 +146,9 @@ func f(v: Vector<3, bool>) -> Vector<3, bool> {
         pf = plans_for(sssp_src)["sssp"]
         body = pf.root.bodies[0]
         assert isinstance(body, PMap) and body.val == SBin("+", SVar("v0"), SVar("v1"))
-        join = body.input
-        assert isinstance(join, PJoin) and join.pattern == "pointwise"
-        assert isinstance(join.left, PScanArg) and join.left.name == pf.root.states[0][0]
-        assert isinstance(join.right, PJoin) and join.right.pattern == "matmul"
+        state, delta = body.inputs
+        assert isinstance(state, PScanArg) and state.name == pf.root.states[0][0]
+        assert isinstance(delta, PJoin) and delta.pattern == "matmul"
 
 
 class TestPretty:
@@ -160,12 +185,11 @@ class TestPretty:
 #0 Loop(bound=s, states=[v$0], fixpoint=off)[sx1:bool, SPARSE]
   init v$0 <- #1 ScanArg(src)[sx1:bool, SPARSE]
   next v$0 <- #2 Map[sx1:bool, SPARSE]
-    #3 Join(pointwise, outer-pad)[sx1, SPARSE]
-      #4 ScanArg(v$0)[sx1:bool, SPARSE]
-      #5 Join(matmul, inner)[sx1:bool, SPARSE]
-        #6 Transpose[sxs, SPARSE]
-          #7 ScanArg(G)[sxs:bool, SPARSE]
-        ref #4
+    #3 ScanArg(v$0)[sx1:bool, SPARSE]
+    #4 Join(matmul, inner)[sx1:bool, SPARSE]
+      #5 Transpose[sxs, SPARSE]
+        #6 ScanArg(G)[sxs:bool, SPARSE]
+      ref #3
 """
         assert pretty_plan(plans_for(reach_src)["reach"]) == golden
 
@@ -234,14 +258,13 @@ class TestShare:
     VEC = A.MatrixType(A.DimSym("s"), A.DimLit(1), R)
 
     def _pair(self, a, b):
-        """Both nodes under one pointwise join, shared: the join's sides."""
-        join = PJoin(ty=self.VEC, left=a, right=b, val_tags=(R, R))
-        out = share(join)
-        return out.left, out.right
+        """Both nodes under one two-input map, shared: the map's inputs."""
+        both = PMap(ty=self.VEC, inputs=(a, b), val=SBin("+", SVar("v0"), SVar("v1")))
+        return share(both).inputs
 
     def _map(self, value=None, **kw):
         val = SVar("v0") if value is None else SBin("+", SVar("v0"), SLit(R, value))
-        return PMap(ty=self.VEC, input=PScanArg(ty=self.VEC, name="x"), val=val, **kw)
+        return PMap(ty=self.VEC, inputs=(PScanArg(ty=self.VEC, name="x"),), val=val, **kw)
 
     def test_equal_maps_merge(self):
         left, right = self._pair(self._map(0.0), self._map(0.0))
@@ -250,7 +273,7 @@ class TestShare:
     def test_zero_and_negative_zero_stay_apart(self):
         left, right = self._pair(self._map(0.0), self._map(-0.0))
         assert left is not right
-        assert left.input is right.input  # the scans under them still merge
+        assert left.inputs == right.inputs  # the scans under them still merge
 
     @pytest.mark.parametrize("field", ["mark", "label"])
     def test_nodes_differing_in_mark_or_label_stay_apart(self, field):
@@ -262,12 +285,12 @@ class TestShare:
         pf = _stdlib_plan("pr", 2)
         casts = [
             n for n in pf.nodes
-            if isinstance(n, PMap) and isinstance(n.val, SCast) and n.input.ty.sr is I
+            if isinstance(n, PMap) and isinstance(n.val, SCast) and n.inputs[0].ty.sr is I
         ]
         assert len(casts) == 1  # `cast<real>(n)`, written three times
-        assert len(pf.nodes) <= 58
+        assert len(pf.nodes) <= 45
         unshared = _unshared(compile_source(stdlib.source("pr")), "pagerank", 2)
-        assert len(unshared.nodes) == 95
+        assert len(unshared.nodes) == 72
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     @pytest.mark.parametrize("name", STDLIB)
@@ -328,10 +351,7 @@ class TestShare:
 
 
 def _plan_kinds(pf):
-    for node in pf.nodes:
-        yield type(node)
-        if isinstance(node, PJoin):
-            yield node.pattern
+    return {type(node) for node in pf.nodes}
 
 
 def _core_kinds(core):
@@ -358,7 +378,9 @@ def _subclasses(cls):
 
 class TestEveryOperatorIsReached:
     def test_every_node_type_and_join_pattern_occurs(self):
-        """The engine evaluates only what some compiled program contains."""
+        """The engine evaluates only what some compiled program contains:
+        every plan node type, `PDensify` and the one join, the product,
+        included."""
         seen = set()
         fragments = lambda pf: attach_preprocess(pf, "G", True, True)
         for name in STDLIB:
@@ -370,7 +392,7 @@ class TestEveryOperatorIsReached:
             text = pretty_print(gen_program(seed).program)
             seen.update(_plan_kinds(compile_source(text, opt_level=0).plan_for("main")))
         assert _subclasses(PlanNode) - {PlanNode} <= seen
-        assert set(JOIN_KINDS) <= seen
+        assert {PDensify, PJoin} <= seen
 
     def test_every_core_node_type_occurs(self):
         """Every Core node type occurs in some lowered program, so each one

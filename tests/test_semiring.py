@@ -24,6 +24,7 @@ from graphalg.semiring import (
     fn_is_sparse_safe,
     select_fn,
     vadd,
+    vadd_reduceat,
     vcast,
     veval_expr,
     vmul,
@@ -84,6 +85,39 @@ class TestMul:
     def test_int_overflow(self):
         with pytest.raises(ArithmeticOverflowError):
             vmul(I, arr(I, 2**40), arr(I, 2**40))
+
+
+# a finite result past the float range is the IEEE ±inf; numpy's overflow
+# warning would be an error under pytest's filterwarnings
+BIG = 1e308
+
+
+class TestOverflowToInf:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_real_add(self, sign):
+        assert_same(vadd(R, arr(R, sign * BIG), arr(R, sign * BIG)), R, sign * math.inf)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_real_mul(self, sign):
+        assert_same(vmul(R, arr(R, sign * BIG), arr(R, BIG)), R, sign * math.inf)
+
+    def test_real_fold(self):
+        vals = arr(R, BIG, BIG, -BIG, -BIG)
+        assert_same(vadd_reduceat(R, vals, np.array([0, 2])), R, math.inf, -math.inf)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_real_sub(self, sign):
+        fn = PointwiseFn((("x", R), ("y", R)), SBin("-", SVar("x"), SVar("y")))
+        assert_same(run_fn(fn, sign * BIG, -sign * BIG)[0], R, sign * math.inf)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_real_div(self, sign):
+        fn = PointwiseFn((("x", R), ("y", R)), SBin("/", SVar("x"), SVar("y")))
+        assert_same(run_fn(fn, sign * BIG, 1e-10)[0], R, sign * math.inf)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_trop_mul(self, sign):
+        assert_same(vmul(T, arr(T, sign * BIG), arr(T, sign * BIG)), T, sign * math.inf)
 
 
 class TestCast:
